@@ -7,13 +7,9 @@ spectra, and score the result with standard objective speech metrics.
 """
 
 from .alas import (
-    WindowSpectrum,
-    combine_source_filter,
     excitation_spectrum,
     filter_spectrum,
     recover_alas,
-    recover_alas_frame,
-    warp_cepstrum,
     window_spectrum,
 )
 from .dsp import (
@@ -25,9 +21,9 @@ from .dsp import (
     hann_window,
     magnitude_error,
     mirror_full_spectrum,
+    warp_cepstrum,
 )
 from .features import (
-    AcousticFrame,
     FeatureTrack,
     estimate_f0,
     extract_features,

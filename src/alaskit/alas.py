@@ -4,161 +4,97 @@ Builds a harmonic (or flat, when unvoiced) excitation spectrum from F0, a
 filter amplitude spectrum from warped cepstra, multiplies them bin-wise and
 convolves the mirrored product with the analysis-window spectrum to imitate
 what windowed STFT analysis would have produced.
+
+Everything but the comb, the exponential and the final log-magnitude is
+linear, so the filter and window steps are cached matrices per
+AnalysisParams, applied to whole frame batches.
 """
 
-import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import lfilter
 
-from .dsp import AnalysisParams, hann_window, mirror_full_spectrum
-from .features import AcousticFrame, FeatureTrack
+from .dsp import AnalysisParams, hann_window, mirror_full_spectrum, warp_cepstrum
+from .features import FeatureTrack
 
 
-def excitation_spectrum(f0: float, params: AnalysisParams) -> np.ndarray:
-    """Length-K source spectrum for one frame.
+def excitation_spectrum(f0: float | np.ndarray, params: AnalysisParams) -> np.ndarray:
+    """Length-K source spectra, one per F0 value (leading axes are batch axes).
 
     Voiced (f0 > 0): unit pulses at bins i*K0 for i = 1, 2, ... with
     K0 = round(f0/sample_rate * fft_size) clamped to >= 1, while
     i*K0 <= K-1. Unvoiced (f0 == 0): all ones, the expected magnitude of a
     white-noise source.
     """
-    if f0 < 0:
-        raise ValueError("f0 must be nonnegative")
-    k = params.num_bins
-    if f0 == 0.0:
-        return np.ones(k)
+    f0 = np.asarray(f0, dtype=np.float64)
+    if not np.all(np.isfinite(f0) & (f0 >= 0.0)):
+        raise ValueError("f0 must be finite and nonnegative")
     # half-up rounding, independent of banker's rounding in round()
-    k0 = max(1, math.floor(f0 / params.sample_rate * params.fft_size + 0.5))
-    bins = np.zeros(k)
-    bins[k0 :: k0] = 1.0
-    return bins
+    k0 = np.maximum(1.0, np.floor(f0 / params.sample_rate * params.fft_size + 0.5))[..., None]
+    bins = np.arange(params.num_bins)
+    return np.where(f0[..., None] == 0.0, 1.0, (bins > 0) & (bins % k0 == 0))
 
 
 @lru_cache(maxsize=8)
-def _warp_matrix(size: int, alpha: float) -> np.ndarray:
-    """Matrix form of the warp recursion, cached per (size, alpha).
-
-    Column j holds the warped image of the j-th unit input, built by
-    repeated application of the first-order all-pass section
-    q[k] = p[k-1] - alpha*(p[k] - q[k-1]).
-    """
-    mat = np.empty((size, size))
-    col = np.zeros(size)
-    col[0] = 1.0
-    mat[:, 0] = col
-    for j in range(1, size):
-        col = lfilter([-alpha, 1.0], [1.0, -alpha], col)
-        mat[:, j] = col
-    return mat
-
-
-def warp_cepstrum(m: np.ndarray, alpha: float) -> np.ndarray:
-    """All-pass frequency warp of a cepstral vector.
-
-    Runs the iterative scheme (i from len(m) down to 1, state starting at
-    zero):
-
-        c1(i) = m[i] - alpha*c1(i+1)
-        c2(i) = (1 - alpha^2)*c1(i+1) - alpha*c2(i+1)
-        ck(i) = ck-1(i+1) - alpha*(ck(i+1) - ck-1(i))    for k > 2
-
-    and returns [c1(1), ..., cK(1)]. The scheme is linear, so it is applied
-    as a cached matrix product; alpha and -alpha are inverse warps for
-    inputs whose warped image fits the vector length.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 1 or m.size == 0:
-        raise ValueError("expected a non-empty 1-D cepstral vector")
-    if abs(alpha) >= 1.0:
-        raise ValueError("|alpha| must be < 1")
-    if alpha == 0.0:
-        return m.copy()
-    return _warp_matrix(m.size, float(alpha)) @ m
+def _log_filter_map(params: AnalysisParams) -> np.ndarray:
+    """K x K map from padded coefficients to the log filter spectrum: row j
+    is the unwarped, mirrored and transformed j-th unit coefficient."""
+    cep = warp_cepstrum(np.eye(params.num_bins), params.warp_alpha)
+    return np.fft.rfft(mirror_full_spectrum(cep, params.fft_size)).real
 
 
 def filter_spectrum(mcep_with_energy: np.ndarray, params: AnalysisParams) -> np.ndarray:
-    """Amplitude spectrum of the vocal-tract filter from warped cepstra.
+    """Amplitude spectra of the vocal-tract filter from warped cepstra.
 
-    The coefficient vector (energy first) is zero-padded to K, unwarped to
-    linear frequency, mirrored to an even sequence and Fourier transformed;
-    exponentiation yields a strictly positive length-K spectrum.
+    Each coefficient vector (energy first, last axis) is zero-padded to K,
+    unwarped to linear frequency, mirrored to an even sequence and Fourier
+    transformed; exponentiation yields strictly positive length-K spectra.
     """
     coeffs = np.asarray(mcep_with_energy, dtype=np.float64)
     k = params.num_bins
-    if coeffs.ndim != 1 or coeffs.size > k:
-        raise ValueError(f"coefficient vector must be 1-D with at most {k} entries")
-    padded = np.zeros(k)
-    padded[: coeffs.size] = coeffs
-    cep = warp_cepstrum(padded, params.warp_alpha)
-    log_spec = np.fft.rfft(mirror_full_spectrum(cep, params.fft_size)).real
-    return np.exp(log_spec)
+    if coeffs.ndim == 0 or coeffs.shape[-1] > k:
+        raise ValueError(f"coefficient vectors must have at most {k} entries")
+    return np.exp(coeffs @ _log_filter_map(params)[: coeffs.shape[-1]])
 
 
-def combine_source_filter(e: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Bin-wise product of excitation and filter spectra."""
-    e = np.asarray(e, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if e.shape != v.shape:
-        raise ValueError(f"length mismatch: {e.shape} vs {v.shape}")
-    return e * v
-
-
-@dataclass(frozen=True, eq=False)
-class WindowSpectrum:
-    """Real zero-phase transform of the analysis window, zero frequency at
-    index fft_size//2."""
-
-    full_bins: np.ndarray
-
-
-def window_spectrum(params: AnalysisParams) -> WindowSpectrum:
+def window_spectrum(params: AnalysisParams) -> np.ndarray:
     """Center-shifted spectrum of the zero-phase periodic Hann window.
 
     The window is arranged circularly around sample 0 and zero-padded to
     fft_size, making its transform real even; the peak (the window's
-    coefficient sum, frame_len/2) sits at the center index after the shift.
+    coefficient sum, frame_len/2) sits at the center index fft_size//2.
     """
     window = hann_window(params.frame_len)
     half = params.frame_len // 2
     buf = np.zeros(params.fft_size)
     buf[: params.frame_len - half] = window[half:]
     buf[params.fft_size - half :] = window[:half]
-    spectrum = np.fft.fft(buf)
-    return WindowSpectrum(full_bins=np.fft.fftshift(spectrum.real))
+    return np.fft.fftshift(np.fft.fft(buf).real)
 
 
-def recover_alas_frame(
-    frame: AcousticFrame,
-    params: AnalysisParams,
-    window: WindowSpectrum | None = None,
-) -> np.ndarray:
-    """Approximate log amplitude spectrum of one frame.
-
-    The source-filter product is mirrored to a full even spectrum and
-    circularly convolved with the window spectrum (both sequences aligned
-    on their zero-frequency bins); the magnitudes of the K bins from zero
-    frequency upward are floored and logged.
-    """
-    if window is None:
-        window = window_spectrum(params)
-    excitation = excitation_spectrum(frame.f0 if frame.vuv else 0.0, params)
-    envelope = filter_spectrum(np.concatenate(([frame.energy], frame.mcep)), params)
-    source_filter = combine_source_filter(excitation, envelope)
-    full = mirror_full_spectrum(source_filter, params.fft_size)
-    kernel = np.fft.ifftshift(window.full_bins)
-    convolved = np.fft.irfft(np.fft.rfft(full) * np.fft.rfft(kernel), n=params.fft_size)
-    k = params.num_bins
-    return np.log(np.maximum(np.abs(convolved[:k]), params.log_floor))
+@lru_cache(maxsize=8)
+def _window_convolution_map(params: AnalysisParams) -> np.ndarray:
+    """K x K map of the window convolution: row j is the first K outputs of
+    the mirrored j-th unit half spectrum circularly convolved with the
+    window spectrum (both aligned on their zero-frequency bins)."""
+    full = mirror_full_spectrum(np.eye(params.num_bins), params.fft_size)
+    kernel = np.fft.rfft(np.fft.ifftshift(window_spectrum(params)))
+    convolved = np.fft.irfft(np.fft.rfft(full) * kernel, n=params.fft_size)
+    return convolved[:, : params.num_bins]
 
 
 def recover_alas(track: FeatureTrack, params: AnalysisParams) -> np.ndarray:
-    """Approximate log amplitude spectra for every frame of a feature track."""
-    if len(track) == 0:
-        raise ValueError("empty feature track")
-    window = window_spectrum(params)
-    return np.stack(
-        [recover_alas_frame(track.frame(i), params, window) for i in range(len(track))]
-    )
+    """Approximate log amplitude spectra for every frame of a feature track.
+
+    Per frame, the source-filter product is mirrored to a full even
+    spectrum and circularly convolved with the window spectrum; the
+    magnitudes of the K bins from zero frequency upward are floored and
+    logged.
+    """
+    if (track.frame_shift, track.sample_rate) != (params.frame_shift, params.sample_rate):
+        raise ValueError(f"track geometry {track.frame_shift}/{track.sample_rate} (frame shift/"
+                         f"sample rate) differs from params {params.frame_shift}/{params.sample_rate}")
+    excitation = excitation_spectrum(np.where(track.vuv, track.f0, 0.0), params)
+    source_filter = excitation * filter_spectrum(track.mcep, params)
+    convolved = source_filter @ _window_convolution_map(params)
+    return np.log(np.maximum(np.abs(convolved), params.log_floor))

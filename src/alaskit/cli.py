@@ -117,8 +117,9 @@ def _cmd_evaluate(args):
             vuv_error_pct=metrics.vuv_error_pct(ref_track, test_track),
         )
     elif mode == "las":
-        ref_las = io.read_las_file(args.ref)[0]
-        test_las = io.read_las_file(args.test)[0]
+        ref_las, *ref_geometry = io.read_las_file(args.ref)
+        test_las, *test_geometry = io.read_las_file(args.test)
+        _check_same_geometry(ref_geometry, test_geometry)
         report = metrics.EvalReport(
             frames_compared=min(ref_las.shape[0], test_las.shape[0]),
             las_rmse_db=metrics.las_rmse_db(ref_las, test_las),
@@ -126,6 +127,8 @@ def _cmd_evaluate(args):
     else:
         ref_track = io.read_feature_file(args.ref)
         test_track = io.read_feature_file(args.test)
+        _check_same_geometry([ref_track.frame_shift, ref_track.sample_rate],
+                             [test_track.frame_shift, test_track.sample_rate])
         report = metrics.EvalReport(
             frames_compared=min(len(ref_track), len(test_track)),
             mcd_v_db=metrics.mcd_v_db(ref_track, test_track),
@@ -137,6 +140,15 @@ def _cmd_evaluate(args):
             fh.write(report.text())
     sys.stdout.write(report.block())
     return 0
+
+
+def _check_same_geometry(ref, test):
+    """Reject comparing files cut on different frame grids."""
+    if ref != test:
+        raise ValueError(
+            f"geometry mismatch: reference frame shift {ref[0]} at {ref[1]} Hz, "
+            f"test frame shift {test[0]} at {test[1]} Hz"
+        )
 
 
 def _infer_mode(path) -> str:

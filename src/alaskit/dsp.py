@@ -7,6 +7,7 @@ A log amplitude spectrum (LAS) matrix is a plain float64 ndarray of shape
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,19 +112,60 @@ def extract_las(wave: Waveform, params: AnalysisParams) -> np.ndarray:
 
 
 def mirror_full_spectrum(half: np.ndarray, fft_size: int) -> np.ndarray:
-    """Expand a length-K half spectrum to the even-symmetric full spectrum.
+    """Expand length-K half spectra to even-symmetric full spectra.
 
-    out[k] = half[k] for k < K and out[fft_size-k] = half[k] for
-    k = 1..K-2, so the result is real-even over the fft_size-point circle.
+    out[..., k] = half[..., k] for k < K and out[..., fft_size-k] =
+    half[..., k] for k = 1..K-2, so each row is real-even over the
+    fft_size-point circle. Leading axes are batch axes.
     """
     half = np.asarray(half, dtype=np.float64)
     k = fft_size // 2 + 1
-    if half.ndim != 1 or half.size != k:
-        raise ValueError(f"expected a length-{k} half spectrum, got {half.shape}")
-    full = np.empty(fft_size)
-    full[:k] = half
-    full[k:] = half[-2:0:-1]
-    return full
+    if half.ndim == 0 or half.shape[-1] != k:
+        raise ValueError(f"expected length-{k} half spectra, got {half.shape}")
+    return np.concatenate([half, half[..., -2:0:-1]], axis=-1)
+
+
+@lru_cache(maxsize=8)
+def _warp_matrix(size: int, alpha: float) -> np.ndarray:
+    """Matrix form of the warp recursion, cached per (size, alpha).
+
+    Column j holds the warped image of the j-th unit input: the unit
+    impulse after j passes of the first-order all-pass section
+    q[k] = p[k-1] - alpha*(p[k] - q[k-1]). In matrix form the section is
+    T @ (shift - alpha*I), where T[i, k] = alpha^(i-k) for i >= k inverts
+    the feedback (I - alpha*shift).
+    """
+    idx = np.arange(size)
+    feedback = np.tril(alpha ** np.abs(idx[:, None] - idx))
+    section = feedback @ (np.eye(size, k=-1) - alpha * np.eye(size))
+    columns = [np.eye(size)[0]]
+    for _ in range(size - 1):
+        columns.append(section @ columns[-1])
+    return np.stack(columns, axis=1)
+
+
+def warp_cepstrum(m: np.ndarray, alpha: float) -> np.ndarray:
+    """All-pass frequency warp of cepstral vectors (the last axis).
+
+    Runs the iterative scheme (i from len(m) down to 1, state starting at
+    zero):
+
+        c1(i) = m[i] - alpha*c1(i+1)
+        c2(i) = (1 - alpha^2)*c1(i+1) - alpha*c2(i+1)
+        ck(i) = ck-1(i+1) - alpha*(ck(i+1) - ck-1(i))    for k > 2
+
+    and returns [c1(1), ..., cK(1)]. The scheme is linear, so it is applied
+    as a cached matrix product; alpha and -alpha are inverse warps for
+    inputs whose warped image fits the vector length.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim == 0 or m.shape[-1] == 0:
+        raise ValueError("expected non-empty cepstral vectors")
+    if abs(alpha) >= 1.0:
+        raise ValueError("|alpha| must be < 1")
+    if alpha == 0.0:
+        return m.copy()
+    return m @ _warp_matrix(m.shape[-1], float(alpha)).T
 
 
 def _frames_fixed(samples: np.ndarray, params: AnalysisParams, n: int) -> np.ndarray:

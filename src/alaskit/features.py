@@ -6,27 +6,17 @@ amplitude spectra.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .dsp import AnalysisParams, Waveform, extract_las, num_frames
+from .dsp import AnalysisParams, Waveform, extract_las, num_frames, warp_cepstrum
 
 F0_MIN = 50.0
 F0_MAX = 500.0
 VOICING_THRESHOLD = 0.3
 RMS_GATE = 1e-4
 MCEP_ORDER = 40
-
-
-@dataclass(frozen=True, eq=False)
-class AcousticFrame:
-    """Per-frame features: F0 (0 when unvoiced), voicing flag, energy and
-    mel-cepstra."""
-
-    f0: float
-    vuv: bool
-    energy: float
-    mcep: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,14 +41,6 @@ class FeatureTrack:
 
     def __len__(self):
         return self.f0.size
-
-    def frame(self, i: int) -> AcousticFrame:
-        return AcousticFrame(
-            f0=float(self.f0[i]),
-            vuv=bool(self.vuv[i]),
-            energy=float(self.mcep[i, 0]),
-            mcep=self.mcep[i, 1:],
-        )
 
 
 def estimate_f0(wave: Waveform, params: AnalysisParams) -> tuple[np.ndarray, np.ndarray]:
@@ -125,31 +107,37 @@ def _parabolic_offset(r: np.ndarray, lag: int) -> float:
     return float(np.clip(0.5 * (r[lag - 1] - r[lag + 1]) / denom, -0.5, 0.5))
 
 
+@lru_cache(maxsize=8)
+def _cepstral_analysis_map(params: AnalysisParams) -> np.ndarray:
+    """K x K map from a log spectrum to its warped cepstrum: row j is the
+    -alpha warp of the first K samples of the j-th unit bin's inverse FFT."""
+    k = params.num_bins
+    cepstra = np.fft.irfft(np.eye(k), n=params.fft_size)[:, :k]
+    return warp_cepstrum(cepstra, -params.warp_alpha)
+
+
 def mcep_analysis(las_frame: np.ndarray, params: AnalysisParams, order: int = MCEP_ORDER) -> np.ndarray:
-    """Warped cepstral coefficients (energy first) of one log spectrum frame.
+    """Warped cepstral coefficients (energy first) of log spectrum frames.
 
-    Inverse of the synthesis path: the mirrored log spectrum is inverse
-    Fourier transformed to a length-K cepstrum, warped with -alpha, and
-    truncated to order+1 coefficients.
+    Inverse of the synthesis path: each mirrored log spectrum (last axis)
+    is inverse Fourier transformed to a length-K cepstrum, warped with
+    -alpha, and truncated to order+1 coefficients. Leading axes are batch
+    axes.
     """
-    from .alas import warp_cepstrum  # local import; alas builds on this module
-
     las_frame = np.asarray(las_frame, dtype=np.float64)
     k = params.num_bins
-    if las_frame.ndim != 1 or las_frame.size != k:
-        raise ValueError(f"expected a length-{k} log spectrum, got {las_frame.shape}")
+    if las_frame.ndim == 0 or las_frame.shape[-1] != k:
+        raise ValueError(f"expected length-{k} log spectra, got {las_frame.shape}")
     if order < 1 or order + 1 > k:
         raise ValueError("order must be in [1, num_bins-1]")
-    cepstrum = np.fft.irfft(las_frame, n=params.fft_size)[:k]
-    warped = warp_cepstrum(cepstrum, -params.warp_alpha)
-    return warped[: order + 1]
+    return las_frame @ _cepstral_analysis_map(params)[:, : order + 1]
 
 
 def extract_features(wave: Waveform, params: AnalysisParams, order: int = MCEP_ORDER) -> FeatureTrack:
     """Full acoustic feature track: F0/voicing plus per-frame mel-cepstra."""
     las = extract_las(wave, params)
     f0, vuv = estimate_f0(wave, params)
-    mcep = np.stack([mcep_analysis(row, params, order) for row in las])
+    mcep = mcep_analysis(las, params, order)
     return FeatureTrack(
         f0=f0, vuv=vuv, mcep=mcep, frame_shift=params.frame_shift, sample_rate=params.sample_rate
     )

@@ -63,11 +63,9 @@ def write_feature_file(path, track: FeatureTrack) -> None:
 
 
 def read_feature_file(path) -> FeatureTrack:
-    data = _read_payload(path, FEATURE_MAGIC)
-    n, dims, frame_shift, sample_rate, payload = data
-    if dims != FEATURE_DIMS:
-        raise ValueError(f"feature file has {dims} dims, expected {FEATURE_DIMS}")
-    rows = np.frombuffer(payload, dtype="<f4").reshape(n, dims).astype(np.float64)
+    rows, frame_shift, sample_rate = _read_payload(path, FEATURE_MAGIC)
+    if rows.shape[1] != FEATURE_DIMS:
+        raise ValueError(f"feature file has {rows.shape[1]} dims, expected {FEATURE_DIMS}")
     f0 = rows[:, 0]
     return FeatureTrack(
         f0=f0,
@@ -90,12 +88,12 @@ def write_las_file(path, las: np.ndarray, frame_shift: int, sample_rate: int) ->
 
 def read_las_file(path) -> tuple[np.ndarray, int, int]:
     """Return (las, frame_shift, sample_rate) from a LAS container."""
-    n, bins, frame_shift, sample_rate, payload = _read_payload(path, LAS_MAGIC)
-    las = np.frombuffer(payload, dtype="<f4").reshape(n, bins).astype(np.float64)
-    return las, frame_shift, sample_rate
+    return _read_payload(path, LAS_MAGIC)
 
 
 def _read_payload(path, magic: bytes):
+    """Validate a container and return (rows, frame_shift, sample_rate), the
+    rows as a finite float64 (frames, dims) matrix."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -111,7 +109,10 @@ def _read_payload(path, magic: bytes):
         raise ValueError(f"truncated payload: {len(payload)} bytes, header implies {expected}")
     if len(payload) > expected:
         raise ValueError(f"payload size {len(payload)} inconsistent with header ({expected})")
-    return n, dims, frame_shift, sample_rate, payload
+    rows = np.frombuffer(payload, dtype="<f4").reshape(n, dims).astype(np.float64)
+    if not np.all(np.isfinite(rows)):
+        raise ValueError(f"non-finite values in the payload of {path}")
+    return rows, frame_shift, sample_rate
 
 
 def emit_spectrogram_image(las: np.ndarray, path) -> None:

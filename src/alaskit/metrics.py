@@ -94,16 +94,16 @@ def las_rmse_db(ref: np.ndarray, test: np.ndarray) -> float:
 
 def mcd_v_db(ref: FeatureTrack, test: FeatureTrack) -> float:
     """Mel-cepstral distortion over commonly voiced frames, energy excluded."""
-    ref_c, test_c, both = _common_voiced(ref, test)
-    diff = ref_c.mcep[both, 1:] - test_c.mcep[both, 1:]
+    both = _common_voiced(ref, test)
+    diff = ref.mcep[both, 1:] - test.mcep[both, 1:]
     per_frame = _MCD_SCALE * np.sqrt(2.0 * np.sum(diff * diff, axis=1))
     return float(per_frame.mean())
 
 
 def f0_rmse_cent(ref: FeatureTrack, test: FeatureTrack) -> float:
     """RMSE of the F0 ratio in cents over commonly voiced frames."""
-    ref_c, test_c, both = _common_voiced(ref, test)
-    cents = 1200.0 * np.log2(test_c.f0[both] / ref_c.f0[both])
+    both = _common_voiced(ref, test)
+    cents = 1200.0 * np.log2(test.f0[both] / ref.f0[both])
     return float(np.sqrt(np.mean(cents * cents)))
 
 
@@ -127,23 +127,15 @@ def _truncate_rows(a, b):
     return a, b
 
 
-def _common_voiced(ref: FeatureTrack, test: FeatureTrack):
+def _common_voiced(ref: FeatureTrack, test: FeatureTrack) -> np.ndarray:
+    """Indices of the frames voiced in both tracks, over their common length."""
     n = min(len(ref), len(test))
     if len(ref) != len(test):
         warnings.warn(
             f"frame count mismatch ({len(ref)} vs {len(test)}); comparing first {n}",
             stacklevel=3,
         )
-    both = ref.vuv[:n] & test.vuv[:n]
-    if not np.any(both):
+    both = np.nonzero(ref.vuv[:n] & test.vuv[:n])[0]
+    if both.size == 0:
         raise ValueError("no commonly voiced frames")
-    return _TrackView(ref, n), _TrackView(test, n), both
-
-
-class _TrackView:
-    """Cheap row-truncated view of a feature track."""
-
-    def __init__(self, track: FeatureTrack, n: int):
-        self.f0 = track.f0[:n]
-        self.vuv = track.vuv[:n]
-        self.mcep = track.mcep[:n]
+    return both

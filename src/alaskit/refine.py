@@ -39,27 +39,51 @@ def fit_refiner(pairs, context_radius: int = 0) -> RefinerModel:
     """Least-squares per-bin affine fit of natural LAS against recovered LAS.
 
     ``pairs`` is a sequence of (recovered, natural) matrices with matching
-    shapes. Bins whose recovered values are (numerically) constant get
-    gain 1 and the mean residual as bias.
+    shapes and one bin count. The recovered side is first smoothed over
+    +-context_radius frames, as :func:`apply_refiner` does; smoothing is
+    linear with unit row sums, so the fit is least-squares for what is
+    applied. Bins whose recovered values are (numerically) constant get
+    gain 1 and the mean residual as bias. Statistics are accumulated pair
+    by pair, in two passes: means, then centred moments.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("no training pairs")
+    bins = np.shape(pairs[0][0])[1:]
     for recovered, natural in pairs:
         if np.shape(recovered) != np.shape(natural):
             raise ValueError(
                 f"pair shape mismatch: {np.shape(recovered)} vs {np.shape(natural)}"
             )
-    x = np.vstack([np.asarray(r, dtype=np.float64) for r, _ in pairs])
-    y = np.vstack([np.asarray(n, dtype=np.float64) for _, n in pairs])
-    x_mean = x.mean(axis=0)
-    y_mean = y.mean(axis=0)
-    x_var = ((x - x_mean) ** 2).mean(axis=0)
-    covariance = ((x - x_mean) * (y - y_mean)).mean(axis=0)
+        if np.ndim(recovered) != 2 or np.shape(recovered)[1:] != bins:
+            raise ValueError(f"bin count mismatch: pairs must be 2-D with one bin count, "
+                             f"got {np.shape(recovered)} after {np.shape(pairs[0][0])}")
+    count = sum(np.shape(recovered)[0] for recovered, _ in pairs)
+    if count == 0:
+        raise ValueError("training pairs hold no frames")
+
+    def smoothed_pairs():
+        for recovered, natural in pairs:
+            x = np.asarray(recovered, dtype=np.float64)
+            if context_radius > 0:
+                x = _moving_average(x, context_radius)
+            yield x, np.asarray(natural, dtype=np.float64)
+
+    x_sum = y_sum = 0.0
+    for x, y in smoothed_pairs():
+        x_sum += x.sum(axis=0)
+        y_sum += y.sum(axis=0)
+    x_mean, y_mean = x_sum / count, y_sum / count
+    x_sq = xy = 0.0
+    for x, y in smoothed_pairs():
+        dx = x - x_mean
+        x_sq += np.einsum("ij,ij->j", dx, dx)
+        xy += np.einsum("ij,ij->j", dx, y - y_mean)
+    x_var, covariance = x_sq / count, xy / count
     degenerate = x_var < 1e-12
     safe_var = np.where(degenerate, 1.0, x_var)
     gain = np.where(degenerate, 1.0, covariance / safe_var)
-    bias = np.where(degenerate, (y - x).mean(axis=0), y_mean - gain * x_mean)
+    bias = y_mean - gain * x_mean
     return RefinerModel(gain=gain, bias=bias, context_radius=context_radius)
 
 

@@ -1,25 +1,31 @@
 """Tests for the spectrum recovery chain: excitation, warp, filter, window,
-and full-frame reconstruction."""
+and full-frame reconstruction, with the batched maps checked against the
+per-frame oracles in ``oracles.py``."""
 
 import math
 
 import numpy as np
 import pytest
 
+import oracles
 from alaskit import (
     AnalysisParams,
-    combine_source_filter,
+    FeatureTrack,
     excitation_spectrum,
     extract_features,
     extract_las,
     filter_spectrum,
     mirror_full_spectrum,
     recover_alas,
-    recover_alas_frame,
     warp_cepstrum,
     window_spectrum,
 )
-from alaskit.features import AcousticFrame
+
+# Batched recover_alas against the per-frame oracle: the maps reorder the
+# float64 sums, which moves linear magnitudes by a few ulps of the frame
+# peak; bins far below the peak then differ more in log units.
+LOG_TOL = 1e-6
+LINEAR_TOL = 1e-12  # relative to the frame's peak magnitude
 
 
 class TestExcitationSpectrum:
@@ -40,6 +46,18 @@ class TestExcitationSpectrum:
     def test_negative_f0(self, params):
         with pytest.raises(ValueError):
             excitation_spectrum(-1.0, params)
+
+    def test_non_finite_f0(self, params):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                excitation_spectrum(np.array([200.0, bad]), params)
+
+    def test_batch_equals_per_value(self, params):
+        f0 = np.array([[0.0, 50.0, 200.0], [8000.0, 333.3, 499.9]])
+        batch = excitation_spectrum(f0, params)
+        assert batch.shape == (2, 3, params.num_bins)
+        for idx in np.ndindex(f0.shape):
+            assert np.array_equal(batch[idx], excitation_spectrum(float(f0[idx]), params))
 
     def test_comb_structure_random_f0(self, params):
         rng = np.random.default_rng(12)
@@ -88,6 +106,25 @@ class TestWarpCepstrum:
         with pytest.raises(ValueError):
             warp_cepstrum(np.zeros(8), 1.0)
 
+    @pytest.mark.parametrize("alpha", [0.42, -0.42, 0.7])
+    @pytest.mark.parametrize("nonzero", [41, 257])
+    def test_matches_scalar_recursion(self, alpha, nonzero):
+        # measured: 1e-15 (padded) to 4e-14 (full length)
+        rng = np.random.default_rng(19)
+        vec = np.zeros(257)
+        vec[:nonzero] = rng.standard_normal(nonzero)
+        np.testing.assert_allclose(
+            warp_cepstrum(vec, alpha), oracles.warp_recursion(vec, alpha), rtol=0, atol=1e-12
+        )
+
+    def test_batch_equals_per_vector(self):
+        rng = np.random.default_rng(20)
+        batch = rng.standard_normal((3, 2, 57))
+        out = warp_cepstrum(batch, 0.42)
+        for idx in np.ndindex(batch.shape[:-1]):
+            np.testing.assert_allclose(out[idx], warp_cepstrum(batch[idx], 0.42),
+                                       rtol=0, atol=1e-14)
+
 
 class TestFilterSpectrum:
     def test_zero_coefficients_give_unit_spectrum(self, params):
@@ -116,59 +153,66 @@ class TestFilterSpectrum:
         with pytest.raises(ValueError):
             filter_spectrum(np.zeros(params.num_bins + 1), params)
 
-
-class TestCombineSourceFilter:
-    def test_unit_excitation_passes_filter(self):
-        v = np.linspace(0.1, 2.0, 257)
-        np.testing.assert_array_equal(combine_source_filter(np.ones(257), v), v)
-
-    def test_zero_excitation(self):
-        assert not combine_source_filter(np.zeros(257), np.full(257, 3.0)).any()
-
-    def test_product_support_is_intersection(self, params):
-        e = excitation_spectrum(300.0, params)
-        v = np.exp(np.linspace(1.0, -2.0, 257))
-        s = combine_source_filter(e, v)
-        assert np.array_equal(s != 0.0, e != 0.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            combine_source_filter(np.ones(10), np.ones(11))
+    def test_batch_equals_per_vector(self, params):
+        rng = np.random.default_rng(21)
+        batch = rng.standard_normal((5, 41)) * 0.8 ** np.arange(41)
+        out = filter_spectrum(batch, params)
+        assert out.shape == (5, params.num_bins)
+        for row, coeffs in zip(out, batch):
+            np.testing.assert_allclose(row, filter_spectrum(coeffs, params), rtol=1e-13)
 
 
 class TestWindowSpectrum:
     def test_peak_is_window_sum_at_center(self, params):
-        w = window_spectrum(params).full_bins
+        w = window_spectrum(params)
         center = params.fft_size // 2
         assert np.argmax(w) == center
         assert w[center] == pytest.approx(params.frame_len / 2, abs=1e-9)
 
     def test_even_symmetry_about_center(self, params):
-        w = window_spectrum(params).full_bins
+        w = window_spectrum(params)
         center = params.fft_size // 2
         for off in range(1, 200):
             assert w[center + off] == pytest.approx(w[center - off], abs=1e-9)
 
     def test_main_lobe_nulls_at_double_padding(self):
         p = AnalysisParams(frame_len=256, fft_size=512)
-        w = window_spectrum(p).full_bins
+        w = window_spectrum(p)
         center, peak = 256, 128.0
         for off in range(4, 200, 2):
             assert abs(w[center + off]) <= 1e-6 * peak
 
 
-def _flat_frame(f0, energy=0.0):
-    return AcousticFrame(f0=f0, vuv=f0 > 0, energy=energy, mcep=np.zeros(40))
+def _one_frame(f0, energy=0.0, mcep=None):
+    """One-frame feature track; a flat filter of the given energy unless
+    mcep (energy first) is given."""
+    if mcep is None:
+        mcep = energy * np.eye(41)[0]
+    return FeatureTrack(f0=np.array([f0]), vuv=np.array([f0 > 0]),
+                        mcep=np.asarray(mcep, dtype=np.float64)[None],
+                        frame_shift=80, sample_rate=16000)
+
+
+def _assert_matches_oracle(batch, f0, vuv, mcep, params):
+    """Rows of batched ALAS against the per-frame oracle, within the stated
+    log and linear tolerances."""
+    for row, *frame in zip(batch, f0, vuv, mcep):
+        expected = oracles.recover_alas_frame(*frame, params)
+        assert np.max(np.abs(row - expected)) <= LOG_TOL
+        linear_err = np.max(np.abs(np.exp(row) - np.exp(expected)))
+        assert linear_err <= LINEAR_TOL * np.exp(expected.max())
 
 
 class TestRecoverAlasFrame:
+    """recover_alas on one-frame tracks."""
+
     def test_unvoiced_flat_filter_is_constant(self, params):
-        alas = recover_alas_frame(_flat_frame(0.0), params)
-        expected = math.log(window_spectrum(params).full_bins.sum())
+        alas = recover_alas(_one_frame(0.0), params)[0]
+        expected = math.log(window_spectrum(params).sum())
         np.testing.assert_allclose(alas, expected, rtol=1e-6)
 
     def test_voiced_flat_filter_peaks_at_harmonics(self, params):
-        alas = recover_alas_frame(_flat_frame(200.0), params)
+        alas = recover_alas(_one_frame(200.0), params)[0]
         for i in range(2, 41):  # interior harmonics, K0 = 6
             k = 6 * i
             assert alas[k] > alas[k - 3]
@@ -176,15 +220,28 @@ class TestRecoverAlasFrame:
 
     def test_filter_gain_shifts_log_output(self, params):
         gain = 2.5
-        base = recover_alas_frame(_flat_frame(200.0, energy=0.3), params)
-        scaled = recover_alas_frame(_flat_frame(200.0, energy=0.3 + math.log(gain)), params)
+        base = recover_alas(_one_frame(200.0, energy=0.3), params)
+        scaled = recover_alas(_one_frame(200.0, energy=0.3 + math.log(gain)), params)
         np.testing.assert_allclose(scaled - base, math.log(gain), atol=1e-9)
 
     def test_output_floored_and_finite(self, params, vowel_corpus):
         track = extract_features(vowel_corpus[2], params)
-        alas = recover_alas_frame(track.frame(50), params)
+        alas = recover_alas(_one_frame(track.f0[50], mcep=track.mcep[50]), params)
         assert np.all(np.isfinite(alas))
         assert np.all(alas >= math.log(params.log_floor) - 1e-12)
+
+    def test_comb_above_nyquist_floors_every_bin(self, params):
+        # K0 = 640 > K - 1: the comb has no pulse, so nothing survives
+        alas = recover_alas(_one_frame(20000.0), params)
+        np.testing.assert_array_equal(alas, math.log(params.log_floor))
+
+    def test_matches_per_frame_oracle(self, params):
+        rng = np.random.default_rng(22)
+        for f0 in (0.0, 140.0, 455.5):
+            mcep = rng.standard_normal(41) * 0.7 ** np.arange(41)
+            track = _one_frame(f0, mcep=mcep)
+            _assert_matches_oracle(recover_alas(track, params), track.f0, track.vuv,
+                                   track.mcep, params)
 
 
 class TestRecoverAlas:
@@ -196,7 +253,21 @@ class TestRecoverAlas:
         )
         out = recover_alas(single, params)
         assert out.shape == (1, params.num_bins)
-        np.testing.assert_array_equal(out[0], recover_alas_frame(track.frame(5), params))
+        np.testing.assert_allclose(out[0], recover_alas(track, params)[5], rtol=0, atol=LOG_TOL)
+        _assert_matches_oracle(out, single.f0, single.vuv, single.mcep, params)
+
+    def test_batch_matches_per_frame_oracle(self, params, vowel_corpus):
+        # measured: 1.4e-7 in log units, 4.6e-15 of the frame peak
+        for wave in vowel_corpus:
+            track = extract_features(wave, params)
+            _assert_matches_oracle(recover_alas(track, params), track.f0, track.vuv,
+                                   track.mcep, params)
+
+    def test_rejects_mismatched_geometry(self, params):
+        track = FeatureTrack(f0=np.array([0.0]), vuv=np.array([False]), mcep=np.zeros((1, 41)),
+                             frame_shift=40, sample_rate=8000)
+        with pytest.raises(ValueError, match="geometry"):
+            recover_alas(track, params)
 
     def test_frame_order_preserved(self, params, vowel_corpus):
         track = extract_features(vowel_corpus[1], params)
@@ -205,8 +276,9 @@ class TestRecoverAlas:
             f0=track.f0[perm], vuv=track.vuv[perm], mcep=track.mcep[perm],
             frame_shift=track.frame_shift, sample_rate=track.sample_rate,
         )
-        np.testing.assert_array_equal(recover_alas(shuffled, params),
-                                      recover_alas(track, params)[perm])
+        # rows land in other BLAS blocks, so equal within the oracle tolerance
+        np.testing.assert_allclose(recover_alas(shuffled, params),
+                                   recover_alas(track, params)[perm], rtol=0, atol=LOG_TOL)
 
     def test_matches_natural_las_on_vowel(self, params, vowel_corpus):
         wave = vowel_corpus[0]

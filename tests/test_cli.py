@@ -1,9 +1,22 @@
 """End-to-end tests of the command-line pipeline."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from alaskit import cli, read_las_file, read_wav, write_las_file, write_wav
+import alaskit
+from alaskit import (
+    FeatureTrack,
+    cli,
+    read_las_file,
+    read_wav,
+    write_feature_file,
+    write_las_file,
+    write_wav,
+)
 
 
 @pytest.fixture(scope="module")
@@ -110,3 +123,48 @@ def test_resynth_rejects_wrong_bin_count(tmp_path):
     path = tmp_path / "narrow.lask"
     write_las_file(path, np.zeros((5, 100)), 80, 16000)
     assert cli.main(["resynth", str(path), "-o", str(tmp_path / "o.wav")]) == 2
+
+
+def test_evaluate_las_rejects_mismatched_geometry(tmp_path):
+    ref = tmp_path / "ref.lask"
+    test = tmp_path / "test.lask"
+    write_las_file(ref, np.zeros((5, 257)), 80, 16000)
+    write_las_file(test, np.zeros((5, 257)), 40, 8000)
+    assert cli.main(["evaluate", "--ref", str(ref), "--test", str(test), "--las"]) == 2
+
+
+def test_evaluate_feat_rejects_mismatched_geometry(tmp_path):
+    paths = []
+    for shift, rate in ((80, 16000), (40, 8000)):
+        track = FeatureTrack(f0=np.full(5, 120.0), vuv=np.ones(5, bool),
+                             mcep=np.zeros((5, 41)), frame_shift=shift, sample_rate=rate)
+        paths.append(tmp_path / f"{shift}.aftk")
+        write_feature_file(paths[-1], track)
+    assert cli.main(["evaluate", "--ref", str(paths[0]), "--test", str(paths[1]),
+                     "--feat"]) == 2
+
+
+def test_non_finite_inputs_exit_two(tmp_path):
+    las = np.zeros((5, 257))
+    las[2, 7] = np.nan
+    bad_las = tmp_path / "nan.lask"
+    write_las_file(bad_las, las, 80, 16000)
+    good_las = tmp_path / "ok.lask"
+    write_las_file(good_las, np.zeros((5, 257)), 80, 16000)
+    assert cli.main(["evaluate", "--ref", str(good_las), "--test", str(bad_las)]) == 2
+
+    track = FeatureTrack(f0=np.array([100.0, np.nan, 0.0]), vuv=np.ones(3, bool),
+                         mcep=np.zeros((3, 41)), frame_shift=80, sample_rate=16000)
+    bad_feat = tmp_path / "nan.aftk"
+    write_feature_file(bad_feat, track)
+    assert cli.main(["recover", str(bad_feat), "-o", str(tmp_path / "out.lask")]) == 2
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(alaskit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, alaskit.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"

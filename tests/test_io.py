@@ -111,6 +111,14 @@ class TestFeatureFile:
         with pytest.raises(ValueError, match="truncated payload"):
             read_feature_file(path)
 
+    def test_non_finite_f0_rejected(self, tmp_path):
+        track = _track()
+        track.f0[2] = np.nan
+        path = tmp_path / "nan.aftk"
+        write_feature_file(path, track)
+        with pytest.raises(ValueError, match="non-finite"):
+            read_feature_file(path)
+
 
 class TestLasFile:
     def test_round_trip_at_float32(self, tmp_path):
@@ -120,6 +128,15 @@ class TestLasFile:
         loaded, shift, rate = read_las_file(path)
         assert (shift, rate) == (80, 16000)
         np.testing.assert_array_equal(loaded, las.astype(np.float32))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, bad):
+        las = np.zeros((4, 257))
+        las[3, 100] = bad
+        path = tmp_path / "bad_value.lask"
+        write_las_file(path, las, 80, 16000)
+        with pytest.raises(ValueError, match="non-finite"):
+            read_las_file(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.lask"
@@ -159,12 +176,11 @@ class TestSpectrogramImage:
         assert (width, height) == (31, 17)
 
     def test_harmonic_striping_visible(self, tmp_path, params):
-        from alaskit import excitation_spectrum, recover_alas_frame
-        from alaskit.features import AcousticFrame
+        from alaskit import FeatureTrack, excitation_spectrum, recover_alas
 
-        frame = AcousticFrame(f0=250.0, vuv=True, energy=0.0, mcep=np.zeros(40))
-        row = recover_alas_frame(frame, params)
-        las = np.tile(row, (40, 1))
+        track = FeatureTrack(f0=np.full(40, 250.0), vuv=np.ones(40, bool),
+                             mcep=np.zeros((40, 41)), frame_shift=80, sample_rate=16000)
+        las = recover_alas(track, params)
         path = tmp_path / "comb.pgm"
         emit_spectrogram_image(las, path)
         _, height, pixels = self._read_pgm(path)

@@ -41,6 +41,33 @@ class TestFitRefiner:
         with pytest.raises(ValueError, match="shape mismatch"):
             fit_refiner([(np.zeros((4, 8)), np.zeros((5, 8)))])
 
+    def test_bin_count_mismatch_between_pairs(self):
+        a, b = _random_pair(30, bins=8), _random_pair(31, bins=9)
+        with pytest.raises(ValueError, match="bin count mismatch"):
+            fit_refiner([(a, a), (b, b)])
+
+    def test_streamed_fit_matches_stacked_least_squares(self):
+        rng = np.random.default_rng(32)
+        pairs = [(rng.standard_normal((n, 6)), rng.standard_normal((n, 6))) for n in (7, 30, 1)]
+        x = np.vstack([r for r, _ in pairs])
+        y = np.vstack([n for _, n in pairs])
+        model = fit_refiner(pairs)
+        for k in range(6):
+            gain, bias = np.polyfit(x[:, k], y[:, k], 1)
+            assert model.gain[k] == pytest.approx(gain, abs=1e-12)
+            assert model.bias[k] == pytest.approx(bias, abs=1e-12)
+
+    def test_context_radius_fits_smoothed_input(self):
+        rng = np.random.default_rng(33)
+        recovered = rng.standard_normal((40, 5))
+        natural = 0.8 * recovered + rng.standard_normal((40, 5))
+        model = fit_refiner([(recovered, natural)], context_radius=2)
+        smoothed = np.array([recovered[max(i - 2, 0) : i + 3].mean(axis=0) for i in range(40)])
+        for k in range(5):
+            gain, bias = np.polyfit(smoothed[:, k], natural[:, k], 1)
+            assert model.gain[k] == pytest.approx(gain, abs=1e-12)
+            assert model.bias[k] == pytest.approx(bias, abs=1e-12)
+
 
 class TestApplyRefiner:
     def test_identity_model(self):
