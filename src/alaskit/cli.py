@@ -48,13 +48,6 @@ def _resolve_params(args, header_sample_rate=None, header_frame_shift=None) -> d
     )
 
 
-def _check_bins(las, params):
-    if las.shape[1] != params.num_bins:
-        raise ValueError(
-            f"LAS file has {las.shape[1]} bins but current fft-size implies {params.num_bins}"
-        )
-
-
 def _cmd_analyze(args):
     wave = io.read_wav(args.input)
     params = _resolve_params(args, header_sample_rate=wave.sample_rate)
@@ -166,7 +159,6 @@ def _cmd_resynth(args):
     las, frame_shift, sample_rate = io.read_las_file(args.input)
     params = _resolve_params(args, header_sample_rate=sample_rate,
                              header_frame_shift=frame_shift)
-    _check_bins(las, params)
     wave = dsp.griffin_lim(las, params, iters=args.iters)
     io.write_wav(args.output, wave)
     return 0

@@ -82,21 +82,30 @@ def num_frames(n_samples: int, frame_shift: int) -> int:
     return -(-n_samples // frame_shift)
 
 
+def _frame_grid(n: int, length: int, shift: int) -> np.ndarray:
+    """(n, length) sample indices of the frame grid: frame i starts at i*shift."""
+    return shift * np.arange(n)[:, None] + np.arange(length)
+
+
+def _frames(samples: np.ndarray, n: int, length: int, shift: int) -> np.ndarray:
+    """Exactly n >= 1 frames of ``length`` samples on the ``shift`` grid, the
+    samples zero-padded or truncated to the (n-1)*shift + length it spans."""
+    if n < 1:
+        raise ValueError("empty input")
+    span = np.zeros((n - 1) * shift + length)
+    kept = min(span.size, samples.size)
+    span[:kept] = samples[:kept]
+    return span[_frame_grid(n, length, shift)]
+
+
 def frame_signal(wave: Waveform, params: AnalysisParams) -> np.ndarray:
     """Cut a waveform into overlapping frames of length ``params.frame_len``.
 
     Frame n starts at n*frame_shift; the tail is zero-padded so every frame
     has full length. Returns an (N, frame_len) array.
     """
-    samples = wave.samples
-    if samples.size == 0:
-        raise ValueError("empty input")
-    shift, length = params.frame_shift, params.frame_len
-    n = num_frames(samples.size, shift)
-    padded = np.zeros((n - 1) * shift + length)
-    padded[: samples.size] = samples
-    starts = shift * np.arange(n)
-    return padded[starts[:, None] + np.arange(length)[None, :]]
+    shift = params.frame_shift
+    return _frames(wave.samples, num_frames(len(wave), shift), params.frame_len, shift)
 
 
 def extract_las(wave: Waveform, params: AnalysisParams) -> np.ndarray:
@@ -168,31 +177,31 @@ def warp_cepstrum(m: np.ndarray, alpha: float) -> np.ndarray:
     return m @ _warp_matrix(m.shape[-1], float(alpha)).T
 
 
-def _frames_fixed(samples: np.ndarray, params: AnalysisParams, n: int) -> np.ndarray:
-    """Frame a signal into exactly n frames (signal already long enough)."""
-    starts = params.frame_shift * np.arange(n)
-    return samples[starts[:, None] + np.arange(params.frame_len)[None, :]]
+def _las_magnitudes(las: np.ndarray, params: AnalysisParams) -> np.ndarray:
+    """exp(las), for a LAS of at least one frame of ``params.num_bins`` bins
+    whose exp is finite everywhere."""
+    las = np.asarray(las, dtype=np.float64)
+    if las.ndim != 2 or las.shape[0] == 0 or las.shape[1] != params.num_bins:
+        raise ValueError(f"expected LAS of shape (frames >= 1, {params.num_bins}), got {las.shape}")
+    if not np.all(las <= 709.78):  # false for NaN; exp overflows above ~709.7827
+        raise ValueError("LAS values must be at most 709.78 and not NaN (exp(las) must be finite)")
+    return np.exp(las)
 
 
-def _overlap_add(spectra: np.ndarray, params: AnalysisParams, window: np.ndarray) -> np.ndarray:
-    """Least-squares inverse STFT: windowed overlap-add, squared-window norm.
+def _inverse_stft(grid: np.ndarray, window: np.ndarray, fft_size: int):
+    """Least-squares inverse STFT on a frame grid, as a function of the spectra:
+    windowed overlap-add (one scatter-add) over the squared-window sum. Samples
+    covered below 1% of the peak level are left unnormalized; dividing there
+    would amplify edge samples by up to the inverse squared window value."""
+    index = grid.ravel()
+    norm = np.bincount(index, np.tile(window * window, grid.shape[0]))
+    norm[norm <= 0.01 * norm.max()] = 1.0
 
-    Samples with window coverage below 1% of the interior level are left
-    unnormalized; dividing there would amplify edge samples by up to the
-    inverse squared window value.
-    """
-    n, length, shift = spectra.shape[0], params.frame_len, params.frame_shift
-    frames = np.fft.irfft(spectra, n=params.fft_size, axis=1)[:, :length]
-    out = np.zeros((n - 1) * shift + length)
-    norm = np.zeros_like(out)
-    wsq = window * window
-    for i in range(n):
-        start = i * shift
-        out[start : start + length] += frames[i] * window
-        norm[start : start + length] += wsq
-    covered = norm > 0.01 * norm.max()
-    out[covered] /= norm[covered]
-    return out
+    def synthesize(spectra: np.ndarray) -> np.ndarray:
+        frames = np.fft.irfft(spectra, n=fft_size, axis=1)[:, : window.size] * window
+        return np.bincount(index, frames.ravel()) / norm
+
+    return synthesize
 
 
 def griffin_lim(las: np.ndarray, params: AnalysisParams, iters: int = 60) -> Waveform:
@@ -204,33 +213,33 @@ def griffin_lim(las: np.ndarray, params: AnalysisParams, iters: int = 60) -> Wav
     the window center. If the result peaks above 1 it is scaled down to
     unit peak.
     """
-    las = np.asarray(las, dtype=np.float64)
-    if las.ndim != 2 or las.shape[1] != params.num_bins:
-        raise ValueError(f"expected (frames, {params.num_bins}) log spectra, got {las.shape}")
+    magnitudes = _las_magnitudes(las, params)
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    magnitudes = np.exp(las)
     window = hann_window(params.frame_len)
-    bins = np.arange(params.num_bins)
-    phase = np.broadcast_to(
-        -2.0 * np.pi * bins * (params.frame_len // 2) / params.fft_size, magnitudes.shape
-    ).copy()
-    signal = None
-    for _ in range(iters):
-        signal = _overlap_add(magnitudes * np.exp(1j * phase), params, window)
-        spectra = np.fft.rfft(
-            _frames_fixed(signal, params, las.shape[0]) * window, n=params.fft_size, axis=1
-        )
-        phase = np.angle(spectra)
-    peak = np.max(np.abs(signal)) if signal.size else 0.0
-    if peak > 1.0:
-        signal = signal / peak
-    return Waveform(signal, params.sample_rate)
+    grid = _frame_grid(magnitudes.shape[0], params.frame_len, params.frame_shift)
+    synthesize = _inverse_stft(grid, window, params.fft_size)
+    phase = -2.0 * np.pi * np.arange(params.num_bins) * (params.frame_len // 2) / params.fft_size
+    spectra = magnitudes * np.exp(1j * phase)
+    for _ in range(iters - 1):
+        analysed = np.fft.rfft(synthesize(spectra)[grid] * window, n=params.fft_size, axis=1)
+        size = np.abs(analysed)
+        # unit phasors; a zero bin keeps phase 0, as np.angle gives it
+        spectra = magnitudes * np.divide(analysed, size, out=np.ones_like(analysed), where=size > 0)
+    signal = synthesize(spectra)
+    return Waveform(signal / max(1.0, np.max(np.abs(signal))), params.sample_rate)
 
 
 def magnitude_error(signal: Waveform, las: np.ndarray, params: AnalysisParams) -> float:
-    """Frobenius distance between |STFT(signal)| and the target exp(las)."""
-    window = hann_window(params.frame_len)
-    frames = _frames_fixed(signal.samples, params, las.shape[0])
-    got = np.abs(np.fft.rfft(frames * window, n=params.fft_size, axis=1))
-    return float(math.sqrt(np.sum((got - np.exp(las)) ** 2)))
+    """Frobenius distance between |STFT(signal)| and the target exp(las).
+
+    The STFT has las.shape[0] frames: a signal shorter than they span is
+    zero-padded, a longer one truncated. The signal must be at
+    ``params.sample_rate``; the LAS is checked as in griffin_lim.
+    """
+    target = _las_magnitudes(las, params)
+    if signal.sample_rate != params.sample_rate:
+        raise ValueError(f"signal at {signal.sample_rate} Hz, params at {params.sample_rate} Hz")
+    frames = _frames(signal.samples, target.shape[0], params.frame_len, params.frame_shift)
+    got = np.abs(np.fft.rfft(frames * hann_window(params.frame_len), n=params.fft_size, axis=1))
+    return float(math.sqrt(np.sum((got - target) ** 2)))

@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dsp import AnalysisParams, Waveform, extract_las, num_frames, warp_cepstrum
+from .dsp import AnalysisParams, Waveform, _frames, extract_las, num_frames, warp_cepstrum
 
 F0_MIN = 50.0
 F0_MAX = 500.0
@@ -52,20 +52,15 @@ def estimate_f0(wave: Waveform, params: AnalysisParams) -> tuple[np.ndarray, np.
     lag is refined by parabolic interpolation, preferring the shortest lag
     among near-ties to avoid octave errors. Unvoiced frames get f0 = 0.
     """
-    samples = wave.samples
-    if samples.size == 0:
-        raise ValueError("empty input")
     fs, shift, length = params.sample_rate, params.frame_shift, params.frame_len
     lag_min = int(fs / F0_MAX)
     lag_max = int(np.ceil(fs / F0_MIN))
-    n = num_frames(samples.size, shift)
-    padded = np.zeros((n - 1) * shift + length + lag_max)
-    padded[: samples.size] = samples
+    n = num_frames(len(wave), shift)
+    segments = _frames(wave.samples, n, length + lag_max, shift)
 
     f0 = np.zeros(n)
     vuv = np.zeros(n, dtype=bool)
-    for i in range(n):
-        seg = padded[i * shift : i * shift + length + lag_max]
+    for i, seg in enumerate(segments):
         base = seg[:length]
         base_energy = float(base @ base)
         if np.sqrt(base_energy / length) < RMS_GATE:

@@ -104,6 +104,8 @@ def _read_payload(path, magic: bytes):
         if version != _VERSION:
             raise ValueError(f"unsupported version {version}")
         payload = fh.read()
+    if n == 0 or dims == 0:
+        raise ValueError(f"{path} holds {n} frames of {dims} dims; both must be positive")
     expected = n * dims * 4
     if len(payload) < expected:
         raise ValueError(f"truncated payload: {len(payload)} bytes, header implies {expected}")

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line pipeline."""
 
 import os
+import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +125,17 @@ def test_resynth_rejects_wrong_bin_count(tmp_path):
     path = tmp_path / "narrow.lask"
     write_las_file(path, np.zeros((5, 100)), 80, 16000)
     assert cli.main(["resynth", str(path), "-o", str(tmp_path / "o.wav")]) == 2
+
+
+def test_zero_frame_las_exits_two(tmp_path):
+    empty = tmp_path / "empty.lask"
+    empty.write_bytes(struct.pack("<4sIIIII", b"LASK", 1, 0, 257, 80, 16000))
+    out = tmp_path / "o.wav"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["resynth", str(empty), "-o", str(out)]) == 2
+        assert cli.main(["evaluate", "--ref", str(empty), "--test", str(empty), "--las"]) == 2
+    assert not out.exists()
 
 
 def test_evaluate_las_rejects_mismatched_geometry(tmp_path):

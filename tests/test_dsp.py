@@ -1,10 +1,14 @@
 """Tests for framing, windowing, LAS extraction and Griffin-Lim."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from alaskit import (
     AnalysisParams,
     Waveform,
@@ -15,6 +19,13 @@ from alaskit import (
     magnitude_error,
     mirror_full_spectrum,
 )
+from alaskit.dsp import _frame_grid, _frames, _inverse_stft
+
+# Griffin-Lim against the per-frame, angle/exp oracle: the scatter-add adds
+# in the loop's order, so one iteration is bit-identical; the phasor update
+# rounds differently from angle/exp (measured 1e-12 at 5 to 60 iterations on
+# 600 corpus frames, output peaking below 1).
+GL_ORACLE_ATOL = 1e-9
 
 
 class TestFrameSignal:
@@ -41,6 +52,47 @@ class TestFrameSignal:
     def test_empty_input(self, params):
         with pytest.raises(ValueError, match="empty input"):
             frame_signal(Waveform(np.zeros(0), 16000), params)
+
+    def test_frames_pad_and_truncate_to_n(self):
+        ramp = np.arange(1.0, 11.0)
+        assert np.array_equal(_frames(ramp, 2, 4, 3), [[1, 2, 3, 4], [4, 5, 6, 7]])
+        assert np.array_equal(_frames(ramp[:5], 2, 4, 3), [[1, 2, 3, 4], [4, 5, 0, 0]])
+
+    def test_matches_hand_padded_framing_on_corpus(self, params, vowel_corpus):
+        window = hann_window(params.frame_len)
+        for wave in vowel_corpus:
+            for samples in (wave.samples, wave.samples[:-37]):
+                expected = oracles.frame_signal_padded(samples, params)
+                assert np.array_equal(frame_signal(Waveform(samples, 16000), params), expected)
+                spectra = np.fft.rfft(expected * window, n=params.fft_size, axis=1)
+                expected_las = np.log(np.maximum(np.abs(spectra), params.log_floor))
+                assert np.array_equal(extract_las(Waveform(samples, 16000), params), expected_las)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    geometry=st.sampled_from([(320, 80, 512), (320, 120, 512), (256, 100, 256)]),
+    size=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_synthesis_inverts_analysis(geometry, size, seed):
+    """Overlap-adding the STFT of a signal gives it back on covered samples,
+    also where frame_len is not a multiple of frame_shift."""
+    length, shift, fft_size = geometry
+    params = AnalysisParams(frame_len=length, frame_shift=shift, fft_size=fft_size)
+    samples = np.random.default_rng(seed).standard_normal(size)
+    window = hann_window(length)
+    frames = frame_signal(Waveform(samples, params.sample_rate), params)
+    n = frames.shape[0]
+    spectra = np.fft.rfft(frames * window, n=fft_size, axis=1)
+    out = _inverse_stft(_frame_grid(n, length, shift), window, fft_size)(spectra)
+    norm = np.zeros(out.size)
+    for i in range(n):
+        norm[i * shift : i * shift + length] += window * window
+    covered = norm > 0.01 * norm.max()
+    padded = np.zeros(out.size)
+    padded[:size] = samples
+    np.testing.assert_allclose(out[covered], padded[covered], rtol=0, atol=1e-12)
 
 
 class TestHannWindow:
@@ -147,6 +199,73 @@ class TestGriffinLim:
     def test_bad_iteration_count(self, params):
         with pytest.raises(ValueError):
             griffin_lim(np.zeros((3, params.num_bins)), params, iters=0)
+
+    @pytest.mark.parametrize("bad", ["nan", "overflow", "empty", "bins", "1-d"])
+    def test_bad_las_rejected_up_front(self, params, bad):
+        las = _bad_las(params, bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="LAS"):
+                griffin_lim(las, params, iters=60)
+
+    def test_one_iteration_bit_identical_to_oracle(self, params, vowel_corpus):
+        for wave in vowel_corpus:
+            las = extract_las(wave, params)
+            got = griffin_lim(las, params, iters=1).samples
+            assert np.array_equal(got, oracles.griffin_lim_loop(las, params, iters=1).samples)
+
+    @pytest.mark.parametrize("iters", [5, 30, 60])
+    def test_within_tolerance_of_oracle(self, params, vowel_corpus, iters):
+        samples = np.concatenate([wave.samples for wave in vowel_corpus[:3]])
+        las = extract_las(Waveform(samples, params.sample_rate), params)
+        got = griffin_lim(las, params, iters=iters).samples
+        expected = oracles.griffin_lim_loop(las, params, iters=iters).samples
+        assert np.max(np.abs(expected)) <= 1.0
+        assert np.max(np.abs(got - expected)) <= GL_ORACLE_ATOL
+
+
+def _bad_las(params, kind):
+    las = np.zeros((6, params.num_bins))
+    if kind == "nan":
+        las[2, 40] = np.nan
+    elif kind == "overflow":
+        las[3, 7] = np.float32(710.0)  # finite in a float32 .lask, exp overflows
+    elif kind == "empty":
+        las = las[:0]
+    elif kind == "bins":
+        las = las[:, :100]
+    elif kind == "1-d":
+        las = las[0]
+    return las
+
+
+class TestMagnitudeError:
+    def test_short_signal_zero_padded(self, params, sine_1khz):
+        las = extract_las(sine_1khz, params)
+        short = sine_1khz.samples[:5003]
+        padded = np.concatenate([short, np.zeros(sine_1khz.samples.size - short.size)])
+        got = magnitude_error(Waveform(short, 16000), las, params)
+        assert got == magnitude_error(Waveform(padded, 16000), las, params)
+        assert got > 0.0
+
+    def test_long_signal_truncated_to_las_frames(self, params, sine_1khz):
+        las = extract_las(sine_1khz, params)[:50]
+        spanned = Waveform(sine_1khz.samples[: 49 * params.frame_shift + params.frame_len], 16000)
+        got = magnitude_error(sine_1khz, las, params)
+        assert got == magnitude_error(spanned, las, params)
+        assert got < 1e-6 * np.linalg.norm(np.exp(las))
+
+    @pytest.mark.parametrize("bad", ["nan", "overflow", "empty", "bins", "1-d"])
+    def test_bad_las_rejected(self, params, sine_1khz, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="LAS"):
+                magnitude_error(sine_1khz, _bad_las(params, bad), params)
+
+    def test_sample_rate_mismatch_rejected(self, params):
+        las = np.zeros((5, params.num_bins))
+        with pytest.raises(ValueError, match="8000 Hz"):
+            magnitude_error(Waveform(np.zeros(800), 8000), las, params)
 
 
 class TestAnalysisParams:

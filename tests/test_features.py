@@ -47,6 +47,14 @@ class TestEstimateF0:
         f0, vuv = estimate_f0(vowel_corpus[0], params)
         assert np.all((f0[vuv] >= 50.0) & (f0[vuv] <= 500.0))
 
+    def test_matches_padded_buffer_search_on_corpus(self, params, vowel_corpus):
+        for wave in vowel_corpus:
+            for samples in (wave.samples, wave.samples[:-37]):
+                f0, vuv = estimate_f0(Waveform(samples, params.sample_rate), params)
+                expected_f0, expected_vuv = oracles.estimate_f0_padded(samples, params)
+                assert np.array_equal(f0, expected_f0)
+                assert np.array_equal(vuv, expected_vuv)
+
 
 class TestMcepAnalysis:
     def test_flat_spectrum(self, params):

@@ -144,6 +144,13 @@ class TestLasFile:
         with pytest.raises(ValueError, match="LASK"):
             read_las_file(path)
 
+    @pytest.mark.parametrize("frames, dims", [(0, 257), (4, 0), (0, 0)])
+    def test_empty_header_rejected(self, tmp_path, frames, dims):
+        path = tmp_path / "empty.lask"
+        path.write_bytes(struct.pack("<4sIIIII", b"LASK", 1, frames, dims, 80, 16000))
+        with pytest.raises(ValueError, match="both must be positive"):
+            read_las_file(path)
+
     def test_oversized_payload_rejected(self, tmp_path):
         las = np.zeros((3, 8))
         path = tmp_path / "big.lask"
