@@ -51,11 +51,10 @@ def _resolve_params(args, header_sample_rate=None, header_frame_shift=None) -> d
 def _cmd_analyze(args):
     wave = io.read_wav(args.input)
     params = _resolve_params(args, header_sample_rate=wave.sample_rate)
-    track = features.extract_features(wave, params)
-    io.write_feature_file(args.output, track)
+    las = dsp.extract_las(wave, params)
+    io.write_feature_file(args.output, features._track_from_las(wave, las, params))
     if args.las:
-        io.write_las_file(args.las, dsp.extract_las(wave, params),
-                          params.frame_shift, params.sample_rate)
+        io.write_las_file(args.las, las, params.frame_shift, params.sample_rate)
     return 0
 
 
@@ -97,10 +96,10 @@ def _cmd_evaluate(args):
         ref_wave = io.read_wav(args.ref)
         test_wave = io.read_wav(args.test)
         params = _resolve_params(args, header_sample_rate=ref_wave.sample_rate)
-        ref_track = features.extract_features(ref_wave, params)
-        test_track = features.extract_features(test_wave, params)
         ref_las = dsp.extract_las(ref_wave, params)
         test_las = dsp.extract_las(test_wave, params)
+        ref_track = features._track_from_las(ref_wave, ref_las, params)
+        test_track = features._track_from_las(test_wave, test_las, params)
         report = metrics.EvalReport(
             frames_compared=min(ref_las.shape[0], test_las.shape[0]),
             snr_db=metrics.snr_db(ref_wave, test_wave),

@@ -98,6 +98,11 @@ def _frames(samples: np.ndarray, n: int, length: int, shift: int) -> np.ndarray:
     return span[_frame_grid(n, length, shift)]
 
 
+def _check_sample_rate(wave: Waveform, params: AnalysisParams) -> None:
+    if wave.sample_rate != params.sample_rate:
+        raise ValueError(f"waveform at {wave.sample_rate} Hz, params at {params.sample_rate} Hz")
+
+
 def frame_signal(wave: Waveform, params: AnalysisParams) -> np.ndarray:
     """Cut a waveform into overlapping frames of length ``params.frame_len``.
 
@@ -112,8 +117,10 @@ def extract_las(wave: Waveform, params: AnalysisParams) -> np.ndarray:
     """Log amplitude spectra of a waveform: per frame, log|FFT(frame * hann)|.
 
     Magnitudes are floored at ``params.log_floor`` before the log, so the
-    result is finite everywhere and >= log(log_floor).
+    result is finite everywhere and >= log(log_floor). The waveform must be
+    at ``params.sample_rate``.
     """
+    _check_sample_rate(wave, params)
     frames = frame_signal(wave, params)
     window = hann_window(params.frame_len)
     spectra = np.fft.rfft(frames * window, n=params.fft_size, axis=1)
@@ -192,14 +199,21 @@ def _inverse_stft(grid: np.ndarray, window: np.ndarray, fft_size: int):
     """Least-squares inverse STFT on a frame grid, as a function of the spectra:
     windowed overlap-add (one scatter-add) over the squared-window sum. Samples
     covered below 1% of the peak level are left unnormalized; dividing there
-    would amplify edge samples by up to the inverse squared window value."""
+    would amplify edge samples by up to the inverse squared window value.
+    The inverse FFT and windowed frames go to buffers allocated once here;
+    each call returns a new signal."""
     index = grid.ravel()
     norm = np.bincount(index, np.tile(window * window, grid.shape[0]))
     norm[norm <= 0.01 * norm.max()] = 1.0
+    full = np.empty((grid.shape[0], fft_size))
+    frames = np.empty(grid.shape)  # contiguous, so ravel is a view
 
     def synthesize(spectra: np.ndarray) -> np.ndarray:
-        frames = np.fft.irfft(spectra, n=fft_size, axis=1)[:, : window.size] * window
-        return np.bincount(index, frames.ravel()) / norm
+        np.fft.irfft(spectra, n=fft_size, axis=1, out=full)
+        np.multiply(full[:, : window.size], window, out=frames)
+        signal = np.bincount(index, frames.ravel())
+        signal /= norm
+        return signal
 
     return synthesize
 
@@ -211,21 +225,31 @@ def griffin_lim(las: np.ndarray, params: AnalysisParams, iters: int = 60) -> Wav
     magnitude/phase estimate, then re-analysis to update the phase. The
     start is deterministic: a linear phase placing each frame's energy at
     the window center. If the result peaks above 1 it is scaled down to
-    unit peak.
+    unit peak. Every iteration runs in buffers allocated once per call.
     """
     magnitudes = _las_magnitudes(las, params)
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    window = hann_window(params.frame_len)
-    grid = _frame_grid(magnitudes.shape[0], params.frame_len, params.frame_shift)
+    length = params.frame_len
+    window = hann_window(length)
+    grid = _frame_grid(magnitudes.shape[0], length, params.frame_shift)
     synthesize = _inverse_stft(grid, window, params.fft_size)
-    phase = -2.0 * np.pi * np.arange(params.num_bins) * (params.frame_len // 2) / params.fft_size
+    phase = -2.0 * np.pi * np.arange(params.num_bins) * (length // 2) / params.fft_size
     spectra = magnitudes * np.exp(1j * phase)
+    frames = np.empty(grid.shape)
+    padded = np.zeros((grid.shape[0], params.fft_size))
+    size = np.empty(magnitudes.shape)
     for _ in range(iters - 1):
-        analysed = np.fft.rfft(synthesize(spectra)[grid] * window, n=params.fft_size, axis=1)
-        size = np.abs(analysed)
-        # unit phasors; a zero bin keeps phase 0, as np.angle gives it
-        spectra = magnitudes * np.divide(analysed, size, out=np.ones_like(analysed), where=size > 0)
+        # indices are in range; mode="clip" writes to out, "raise" buffers a copy
+        np.take(synthesize(spectra), grid, out=frames, mode="clip")
+        np.multiply(frames, window, out=padded[:, :length])
+        np.fft.rfft(padded, axis=1, out=spectra)
+        np.abs(spectra, out=size)
+        if not size.all():  # a zero bin keeps phasor 1, as np.angle's phase 0
+            zero = size == 0
+            spectra[zero] = size[zero] = 1.0
+        np.divide(magnitudes, size, out=size)
+        spectra *= size  # magnitudes times the unit phasors spectra / |spectra|
     signal = synthesize(spectra)
     return Waveform(signal / max(1.0, np.max(np.abs(signal))), params.sample_rate)
 
@@ -238,8 +262,7 @@ def magnitude_error(signal: Waveform, las: np.ndarray, params: AnalysisParams) -
     ``params.sample_rate``; the LAS is checked as in griffin_lim.
     """
     target = _las_magnitudes(las, params)
-    if signal.sample_rate != params.sample_rate:
-        raise ValueError(f"signal at {signal.sample_rate} Hz, params at {params.sample_rate} Hz")
+    _check_sample_rate(signal, params)
     frames = _frames(signal.samples, target.shape[0], params.frame_len, params.frame_shift)
     got = np.abs(np.fft.rfft(frames * hann_window(params.frame_len), n=params.fft_size, axis=1))
     return float(math.sqrt(np.sum((got - target) ** 2)))

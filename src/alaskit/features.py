@@ -10,7 +10,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dsp import AnalysisParams, Waveform, _frames, extract_las, num_frames, warp_cepstrum
+from .dsp import (
+    AnalysisParams,
+    Waveform,
+    _check_sample_rate,
+    _frames,
+    extract_las,
+    num_frames,
+    warp_cepstrum,
+)
 
 F0_MIN = 50.0
 F0_MAX = 500.0
@@ -51,7 +59,9 @@ def estimate_f0(wave: Waveform, params: AnalysisParams) -> tuple[np.ndarray, np.
     reaches VOICING_THRESHOLD and the frame RMS clears RMS_GATE. The peak
     lag is refined by parabolic interpolation, preferring the shortest lag
     among near-ties to avoid octave errors. Unvoiced frames get f0 = 0.
+    The waveform must be at ``params.sample_rate``.
     """
+    _check_sample_rate(wave, params)
     fs, shift, length = params.sample_rate, params.frame_shift, params.frame_len
     lag_min = int(fs / F0_MAX)
     lag_max = int(np.ceil(fs / F0_MIN))
@@ -130,7 +140,12 @@ def mcep_analysis(las_frame: np.ndarray, params: AnalysisParams, order: int = MC
 
 def extract_features(wave: Waveform, params: AnalysisParams, order: int = MCEP_ORDER) -> FeatureTrack:
     """Full acoustic feature track: F0/voicing plus per-frame mel-cepstra."""
-    las = extract_las(wave, params)
+    return _track_from_las(wave, extract_las(wave, params), params, order)
+
+
+def _track_from_las(wave: Waveform, las: np.ndarray, params: AnalysisParams,
+                    order: int = MCEP_ORDER) -> FeatureTrack:
+    """extract_features for a wave whose extract_las is already computed."""
     f0, vuv = estimate_f0(wave, params)
     mcep = mcep_analysis(las, params, order)
     return FeatureTrack(

@@ -11,8 +11,14 @@ import pytest
 
 import alaskit
 from alaskit import (
+    AnalysisParams,
     FeatureTrack,
+    Waveform,
     cli,
+    extract_features,
+    extract_las,
+    metrics,
+    read_feature_file,
     read_las_file,
     read_wav,
     write_feature_file,
@@ -89,6 +95,50 @@ def test_evaluate_self_reports_zero_distance(tmp_path, utterance_wav):
     assert float(values["mcd_v_db"]) == 0.0
     assert float(values["f0_rmse_cent"]) == 0.0
     assert float(values["vuv_error_pct"]) == 0.0
+
+
+def test_analyze_writes_library_outputs(tmp_path, utterance_wav):
+    feat, nat = tmp_path / "utt.aftk", tmp_path / "nat.lask"
+    assert cli.main(["analyze", str(utterance_wav), "-o", str(feat), "--las", str(nat)]) == 0
+    wave, params = read_wav(utterance_wav), AnalysisParams()
+    las, shift, rate = read_las_file(nat)
+    assert (shift, rate) == (params.frame_shift, params.sample_rate)
+    assert np.array_equal(las, extract_las(wave, params).astype(np.float32))
+    track, want = read_feature_file(feat), extract_features(wave, params)
+    assert np.array_equal(track.mcep, want.mcep.astype(np.float32))
+    assert np.array_equal(track.f0, want.f0.astype(np.float32))
+    assert np.array_equal(track.vuv, want.vuv)
+
+
+def test_evaluate_wav_reports_library_values(tmp_path, utterance_wav, vowel_corpus):
+    noisy = tmp_path / "noisy.wav"
+    rng = np.random.default_rng(5)
+    samples = vowel_corpus[0].samples + 0.01 * rng.standard_normal(len(vowel_corpus[0]))
+    write_wav(noisy, Waveform(samples, 16000))
+    report = tmp_path / "report.txt"
+    assert cli.main(["evaluate", "--wav", "--ref", str(utterance_wav), "--test", str(noisy),
+                     "-o", str(report)]) == 0
+
+    ref, test, params = read_wav(utterance_wav), read_wav(noisy), AnalysisParams()
+    ref_las, test_las = extract_las(ref, params), extract_las(test, params)
+    ref_track, test_track = extract_features(ref, params), extract_features(test, params)
+    want = metrics.EvalReport(
+        frames_compared=min(ref_las.shape[0], test_las.shape[0]),
+        snr_db=metrics.snr_db(ref, test),
+        las_rmse_db=metrics.las_rmse_db(ref_las, test_las),
+        mcd_v_db=metrics.mcd_v_db(ref_track, test_track),
+        f0_rmse_cent=metrics.f0_rmse_cent(ref_track, test_track),
+        vuv_error_pct=metrics.vuv_error_pct(ref_track, test_track),
+    )
+    assert report.read_text() == want.text()
+
+
+def test_evaluate_wav_rejects_sample_rate_mismatch(tmp_path, utterance_wav):
+    narrow = tmp_path / "narrow.wav"
+    write_wav(narrow, Waveform(np.zeros(8000), 8000))
+    assert cli.main(["evaluate", "--wav", "--ref", str(utterance_wav), "--test", str(narrow),
+                     "-o", str(tmp_path / "report.txt")]) == 2
+    assert not (tmp_path / "report.txt").exists()
 
 
 def test_evaluate_feature_mode(tmp_path, utterance_wav):

@@ -147,6 +147,10 @@ class TestExtractLas:
         assert shifted.shape[0] == base.shape[0] + 1
         np.testing.assert_allclose(shifted[1:], base, atol=1e-6)
 
+    def test_sample_rate_mismatch_rejected(self, params):
+        with pytest.raises(ValueError, match="8000 Hz.*16000 Hz"):
+            extract_las(Waveform(np.zeros(800), 8000), params)
+
 
 class TestMirrorFullSpectrum:
     def test_small_case(self):
@@ -222,6 +226,37 @@ class TestGriffinLim:
         expected = oracles.griffin_lim_loop(las, params, iters=iters).samples
         assert np.max(np.abs(expected)) <= 1.0
         assert np.max(np.abs(got - expected)) <= GL_ORACLE_ATOL
+
+    def test_zero_bins_match_oracle(self, params, vowel_corpus):
+        # exp(-800) underflows to 0: the middle of the block synthesizes to
+        # exact zeros, so its analysed bins are 0 and take phasor 1 instead
+        # of dividing 0 by 0
+        las = extract_las(vowel_corpus[0], params)
+        las[60:100] = -800.0
+        once = griffin_lim(las, params, iters=1).samples
+        assert np.array_equal(once, oracles.griffin_lim_loop(las, params, iters=1).samples)
+        frames = _frames(once, las.shape[0], params.frame_len, params.frame_shift)
+        assert not np.abs(np.fft.rfft(frames, n=params.fft_size, axis=1)).all()
+        for iters in (5, 30):
+            got = griffin_lim(las, params, iters=iters).samples
+            expected = oracles.griffin_lim_loop(las, params, iters=iters).samples
+            assert np.max(np.abs(got - expected)) <= GL_ORACLE_ATOL
+
+    def test_las_not_mutated(self, params, vowel_corpus):
+        las = extract_las(vowel_corpus[0], params)
+        before = las.copy()
+        griffin_lim(las, params, iters=5)
+        assert np.array_equal(las, before)
+
+    def test_no_state_shared_across_calls(self, params, vowel_corpus):
+        a, b = (extract_las(wave, params) for wave in vowel_corpus[:2])
+        c = b[:150]
+        fresh = [griffin_lim(las, params, iters=5).samples for las in (a, b, c)]
+        interleaved = [griffin_lim(las, params, iters=5).samples for las in (a, b, a, c, b)]
+        # compared once all calls ran, so a later call writing into an
+        # earlier result would show too
+        for got, want in zip(interleaved, [fresh[0], fresh[1], fresh[0], fresh[2], fresh[1]]):
+            assert np.array_equal(got, want)
 
 
 def _bad_las(params, kind):

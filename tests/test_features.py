@@ -56,6 +56,11 @@ class TestEstimateF0:
                 assert np.array_equal(vuv, expected_vuv)
 
 
+    def test_sample_rate_mismatch_rejected(self, params):
+        with pytest.raises(ValueError, match="8000 Hz.*16000 Hz"):
+            estimate_f0(_sine(200.0, 0.2, 8000), params)
+
+
 class TestMcepAnalysis:
     def test_flat_spectrum(self, params):
         coeffs = mcep_analysis(np.full(params.num_bins, 1.3), params)
@@ -135,3 +140,7 @@ class TestExtractFeatures:
     def test_empty_input(self, params):
         with pytest.raises(ValueError, match="empty input"):
             extract_features(Waveform(np.zeros(0), 16000), params)
+
+    def test_sample_rate_mismatch_rejected(self, params):
+        with pytest.raises(ValueError, match="8000 Hz.*16000 Hz"):
+            extract_features(_sine(200.0, 0.2, 8000), params)
