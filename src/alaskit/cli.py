@@ -1,8 +1,8 @@
 """Command-line pipeline: analyze, recover, refine, evaluate, resynth, plot.
 
 Exit codes: 0 on success, 1 for usage errors, 2 for data or format errors.
-File headers supply frame shift and sample rate; explicit flags must agree
-with them.
+File headers supply frame shift and sample rate; explicit flags and every
+input's header must agree.
 """
 
 import argparse
@@ -17,40 +17,48 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_PARAM_FLAGS = (  # analysis flag, AnalysisParams field, type
+    ("sample-rate", "sample_rate", int),
+    ("frame-len", "frame_len", int),
+    ("frame-shift", "frame_shift", int),
+    ("fft-size", "fft_size", int),
+    ("alpha", "warp_alpha", float),
+    ("log-floor", "log_floor", float),
+)
+
+
 def _add_param_flags(parser):
     group = parser.add_argument_group("analysis parameters")
-    group.add_argument("--sample-rate", type=int, default=None)
-    group.add_argument("--frame-len", type=int, default=None)
-    group.add_argument("--frame-shift", type=int, default=None)
-    group.add_argument("--fft-size", type=int, default=None)
-    group.add_argument("--alpha", type=float, default=None)
-    group.add_argument("--log-floor", type=float, default=None)
+    for flag, field, kind in _PARAM_FLAGS:
+        group.add_argument(f"--{flag}", dest=field, type=kind, default=None)
 
 
-def _merge(name, flag, header):
-    if flag is not None and header is not None and flag != header:
-        raise ValueError(f"--{name} {flag} contradicts file header value {header}")
-    return flag if flag is not None else header
+def _agreed(args, *headers) -> dict:
+    """AnalysisParams fields set by the analysis flags in ``args`` (if any) and
+    by each input's (path, frame shift, sample rate) header, None where unset;
+    two sources giving one field different values are rejected, naming both."""
+    claims = [(f"--{flag}", field, vars(args).get(field)) for flag, field, _ in _PARAM_FLAGS]
+    for path, frame_shift, sample_rate in headers:
+        claims += [(path, "frame_shift", frame_shift), (path, "sample_rate", sample_rate)]
+    agreed = {}
+    for source, field, value in claims:
+        if value is None:
+            continue
+        first_source, first = agreed.setdefault(field, (source, value))
+        if source != first_source and value != first:
+            raise ValueError(f"{field.replace('_', ' ')} mismatch: {first} from {first_source}, "
+                             f"{value} from {source}")
+    return {field: value for field, (_, value) in agreed.items()}
 
 
-def _resolve_params(args, header_sample_rate=None, header_frame_shift=None) -> dsp.AnalysisParams:
-    defaults = dsp.AnalysisParams()
-    values = {
-        "sample_rate": _merge("sample-rate", args.sample_rate, header_sample_rate),
-        "frame_shift": _merge("frame-shift", args.frame_shift, header_frame_shift),
-        "frame_len": args.frame_len,
-        "fft_size": args.fft_size,
-        "warp_alpha": args.alpha,
-        "log_floor": args.log_floor,
-    }
-    return dsp.AnalysisParams(
-        **{k: (v if v is not None else getattr(defaults, k)) for k, v in values.items()}
-    )
+def _resolve_params(args, *headers) -> dsp.AnalysisParams:
+    """AnalysisParams from _agreed(args, *headers), other fields at their defaults."""
+    return dsp.AnalysisParams(**_agreed(args, *headers))
 
 
 def _cmd_analyze(args):
     wave = io.read_wav(args.input)
-    params = _resolve_params(args, header_sample_rate=wave.sample_rate)
+    params = _resolve_params(args, (args.input, None, wave.sample_rate))
     las = dsp.extract_las(wave, params)
     io.write_feature_file(args.output, features._track_from_las(wave, las, params))
     if args.las:
@@ -60,15 +68,14 @@ def _cmd_analyze(args):
 
 def _cmd_recover(args):
     track = io.read_feature_file(args.input)
-    params = _resolve_params(args, header_sample_rate=track.sample_rate,
-                             header_frame_shift=track.frame_shift)
+    params = _resolve_params(args, (args.input, track.frame_shift, track.sample_rate))
     recovered = alas.recover_alas(track, params)
     io.write_las_file(args.output, recovered, params.frame_shift, params.sample_rate)
     return 0
 
 
 def _cmd_refine_fit(args):
-    pairs = []
+    pairs, headers = [], []
     with open(args.manifest, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
@@ -77,7 +84,10 @@ def _cmd_refine_fit(args):
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ValueError(f"{args.manifest}:{line_no}: expected '<alas>\\t<las>'")
-            pairs.append((io.read_las_file(parts[0])[0], io.read_las_file(parts[1])[0]))
+            (alas, *alas_geometry), (las, *las_geometry) = map(io.read_las_file, parts)
+            headers += [(parts[0], *alas_geometry), (parts[1], *las_geometry)]
+            pairs.append((alas, las))
+    _agreed(args, *headers)
     model = refine.fit_refiner(pairs, context_radius=args.context_radius)
     refine.save_refiner(model, args.output)
     return 0
@@ -95,7 +105,8 @@ def _cmd_evaluate(args):
     if mode == "wav":
         ref_wave = io.read_wav(args.ref)
         test_wave = io.read_wav(args.test)
-        params = _resolve_params(args, header_sample_rate=ref_wave.sample_rate)
+        params = _resolve_params(args, (args.ref, None, ref_wave.sample_rate),
+                                 (args.test, None, test_wave.sample_rate))
         ref_las = dsp.extract_las(ref_wave, params)
         test_las = dsp.extract_las(test_wave, params)
         ref_track = features._track_from_las(ref_wave, ref_las, params)
@@ -111,7 +122,7 @@ def _cmd_evaluate(args):
     elif mode == "las":
         ref_las, *ref_geometry = io.read_las_file(args.ref)
         test_las, *test_geometry = io.read_las_file(args.test)
-        _check_same_geometry(ref_geometry, test_geometry)
+        _resolve_params(args, (args.ref, *ref_geometry), (args.test, *test_geometry))
         report = metrics.EvalReport(
             frames_compared=min(ref_las.shape[0], test_las.shape[0]),
             las_rmse_db=metrics.las_rmse_db(ref_las, test_las),
@@ -119,8 +130,8 @@ def _cmd_evaluate(args):
     else:
         ref_track = io.read_feature_file(args.ref)
         test_track = io.read_feature_file(args.test)
-        _check_same_geometry([ref_track.frame_shift, ref_track.sample_rate],
-                             [test_track.frame_shift, test_track.sample_rate])
+        _resolve_params(args, (args.ref, ref_track.frame_shift, ref_track.sample_rate),
+                        (args.test, test_track.frame_shift, test_track.sample_rate))
         report = metrics.EvalReport(
             frames_compared=min(len(ref_track), len(test_track)),
             mcd_v_db=metrics.mcd_v_db(ref_track, test_track),
@@ -132,15 +143,6 @@ def _cmd_evaluate(args):
             fh.write(report.text())
     sys.stdout.write(report.block())
     return 0
-
-
-def _check_same_geometry(ref, test):
-    """Reject comparing files cut on different frame grids."""
-    if ref != test:
-        raise ValueError(
-            f"geometry mismatch: reference frame shift {ref[0]} at {ref[1]} Hz, "
-            f"test frame shift {test[0]} at {test[1]} Hz"
-        )
 
 
 def _infer_mode(path) -> str:
@@ -155,9 +157,8 @@ def _infer_mode(path) -> str:
 
 
 def _cmd_resynth(args):
-    las, frame_shift, sample_rate = io.read_las_file(args.input)
-    params = _resolve_params(args, header_sample_rate=sample_rate,
-                             header_frame_shift=frame_shift)
+    las, *geometry = io.read_las_file(args.input)
+    params = _resolve_params(args, (args.input, *geometry))
     wave = dsp.griffin_lim(las, params, iters=args.iters)
     io.write_wav(args.output, wave)
     return 0

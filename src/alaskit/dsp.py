@@ -42,8 +42,8 @@ class AnalysisParams:
             raise ValueError("fft_size must be a power of two")
         if not 0.0 <= self.warp_alpha < 1.0:
             raise ValueError("warp_alpha must be in [0, 1)")
-        if self.log_floor <= 0.0:
-            raise ValueError("log_floor must be positive")
+        if not 0.0 < self.log_floor < math.inf:  # false for NaN
+            raise ValueError("log_floor must be finite and positive")
 
     @property
     def num_bins(self) -> int:
@@ -89,13 +89,14 @@ def _frame_grid(n: int, length: int, shift: int) -> np.ndarray:
 
 def _frames(samples: np.ndarray, n: int, length: int, shift: int) -> np.ndarray:
     """Exactly n >= 1 frames of ``length`` samples on the ``shift`` grid, the
-    samples zero-padded or truncated to the (n-1)*shift + length it spans."""
+    samples zero-padded or truncated to the (n-1)*shift + length it spans,
+    as a read-only strided view of that span (no copy per frame)."""
     if n < 1:
         raise ValueError("empty input")
     span = np.zeros((n - 1) * shift + length)
     kept = min(span.size, samples.size)
     span[:kept] = samples[:kept]
-    return span[_frame_grid(n, length, shift)]
+    return np.lib.stride_tricks.sliding_window_view(span, length)[::shift]
 
 
 def _check_sample_rate(wave: Waveform, params: AnalysisParams) -> None:
@@ -110,7 +111,7 @@ def frame_signal(wave: Waveform, params: AnalysisParams) -> np.ndarray:
     has full length. Returns an (N, frame_len) array.
     """
     shift = params.frame_shift
-    return _frames(wave.samples, num_frames(len(wave), shift), params.frame_len, shift)
+    return _frames(wave.samples, num_frames(len(wave), shift), params.frame_len, shift).copy()
 
 
 def extract_las(wave: Waveform, params: AnalysisParams) -> np.ndarray:
@@ -184,14 +185,22 @@ def warp_cepstrum(m: np.ndarray, alpha: float) -> np.ndarray:
     return m @ _warp_matrix(m.shape[-1], float(alpha)).T
 
 
-def _las_magnitudes(las: np.ndarray, params: AnalysisParams) -> np.ndarray:
-    """exp(las), for a LAS of at least one frame of ``params.num_bins`` bins
-    whose exp is finite everywhere."""
+def _check_las(las, bins: int | None = None) -> np.ndarray:
+    """The LAS as float64, if it is 2-D with at least one frame and one bin,
+    ``bins`` bins when given, and finite everywhere; else a ValueError."""
     las = np.asarray(las, dtype=np.float64)
-    if las.ndim != 2 or las.shape[0] == 0 or las.shape[1] != params.num_bins:
-        raise ValueError(f"expected LAS of shape (frames >= 1, {params.num_bins}), got {las.shape}")
-    if not np.all(las <= 709.78):  # false for NaN; exp overflows above ~709.7827
-        raise ValueError("LAS values must be at most 709.78 and not NaN (exp(las) must be finite)")
+    if las.ndim != 2 or 0 in las.shape or (bins is not None and las.shape[1] != bins):
+        raise ValueError(f"LAS must be (frames >= 1, {bins or 'bins >= 1'}), got shape {las.shape}")
+    if not np.isfinite(las).all():
+        raise ValueError("LAS values must be finite")
+    return las
+
+
+def _las_magnitudes(las: np.ndarray, params: AnalysisParams) -> np.ndarray:
+    """exp(las), for a _check_las LAS of ``params.num_bins`` bins with finite exp."""
+    las = _check_las(las, params.num_bins)
+    if las.max() > 709.78:  # exp overflows above ~709.7827
+        raise ValueError("LAS values must be at most 709.78 (exp(las) must be finite)")
     return np.exp(las)
 
 

@@ -59,12 +59,14 @@ def estimate_f0(wave: Waveform, params: AnalysisParams) -> tuple[np.ndarray, np.
     reaches VOICING_THRESHOLD and the frame RMS clears RMS_GATE. The peak
     lag is refined by parabolic interpolation, preferring the shortest lag
     among near-ties to avoid octave errors. Unvoiced frames get f0 = 0.
-    The waveform must be at ``params.sample_rate``.
+    The waveform must be at ``params.sample_rate``, at least F0_MAX Hz.
     """
     _check_sample_rate(wave, params)
     fs, shift, length = params.sample_rate, params.frame_shift, params.frame_len
+    if fs < F0_MAX:
+        raise ValueError(f"F0 analysis needs a sample rate of at least {F0_MAX:g} Hz, got {fs} Hz")
     lag_min = int(fs / F0_MAX)
-    lag_max = int(np.ceil(fs / F0_MIN))
+    lag_max = min(int(np.ceil(fs / F0_MIN)), len(wave))  # later lags meet only zero padding (r = 0)
     n = num_frames(len(wave), shift)
     segments = _frames(wave.samples, n, length + lag_max, shift)
 
@@ -73,7 +75,7 @@ def estimate_f0(wave: Waveform, params: AnalysisParams) -> tuple[np.ndarray, np.
     for i, seg in enumerate(segments):
         base = seg[:length]
         base_energy = float(base @ base)
-        if np.sqrt(base_energy / length) < RMS_GATE:
+        if lag_max <= lag_min or np.sqrt(base_energy / length) < RMS_GATE:
             continue
         corr = np.correlate(seg, base, mode="valid")  # lag 0..lag_max
         sq = np.concatenate(([0.0], np.cumsum(seg * seg)))

@@ -11,7 +11,7 @@ import wave as wave_module
 
 import numpy as np
 
-from .dsp import Waveform
+from .dsp import Waveform, _check_las
 from .features import FeatureTrack
 
 FEATURE_MAGIC = b"AFTK"
@@ -23,9 +23,9 @@ _HEADER = struct.Struct("<4sIIIII")
 
 def read_wav(path) -> Waveform:
     """Read a mono PCM16 RIFF/WAVE file, scaling samples to [-1, 1)."""
-    try:
+    try:  # wave raises RuntimeError for a chunk size pointing past the end of the file
         reader = wave_module.open(str(path), "rb")
-    except (wave_module.Error, EOFError) as exc:
+    except (wave_module.Error, EOFError, RuntimeError) as exc:
         raise ValueError(f"malformed WAV file {path}: {exc}") from exc
     with reader:
         if reader.getnchannels() != 1:
@@ -40,6 +40,8 @@ def read_wav(path) -> Waveform:
 
 def write_wav(path, wave: Waveform) -> None:
     """Write a waveform as mono PCM16, saturating outside [-1, 1]."""
+    if wave.sample_rate > 0x7FFFFFFF:  # the header's u32 byte rate is twice the rate
+        raise ValueError(f"a PCM16 WAV cannot store a sample rate of {wave.sample_rate} Hz")
     quantized = np.clip(np.rint(wave.samples * 32768.0), -32768, 32767).astype("<i2")
     with wave_module.open(str(path), "wb") as writer:
         writer.setnchannels(1)
@@ -120,9 +122,7 @@ def _read_payload(path, magic: bytes):
 def emit_spectrogram_image(las: np.ndarray, path) -> None:
     """Write a binary PGM spectrogram: frames left to right, bin 0 at the
     bottom, min-max normalized per file (constant input maps to mid-gray)."""
-    las = np.asarray(las, dtype=np.float64)
-    if las.ndim != 2 or las.size == 0:
-        raise ValueError("LAS matrix must be a non-empty 2-D array")
+    las = _check_las(las)
     lo = las.min()
     hi = las.max()
     if hi - lo < 1e-12:

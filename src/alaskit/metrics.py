@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Waveform
+from .dsp import Waveform, _check_las
 from .features import FeatureTrack
 
 # natural-log amplitude -> dB
@@ -83,11 +83,8 @@ def snr_db(ref: Waveform, test: Waveform) -> float:
 
 def las_rmse_db(ref: np.ndarray, test: np.ndarray) -> float:
     """RMSE between two log spectra matrices, measured in dB."""
-    ref = np.asarray(ref, dtype=np.float64)
-    test = np.asarray(test, dtype=np.float64)
-    if ref.shape[1:] != test.shape[1:]:
-        raise ValueError(f"bin count mismatch: {ref.shape} vs {test.shape}")
-    ref, test = _truncate_rows(ref, test)
+    ref = _check_las(ref)
+    ref, test = _truncate_rows(ref, _check_las(test, ref.shape[1]))
     diff = DB_PER_LOG * (ref - test)
     return float(np.sqrt(np.mean(diff * diff)))
 
@@ -110,18 +107,16 @@ def f0_rmse_cent(ref: FeatureTrack, test: FeatureTrack) -> float:
 def vuv_error_pct(ref: FeatureTrack, test: FeatureTrack) -> float:
     """Percentage of frames whose voicing flags disagree."""
     ref_v, test_v = _truncate_rows(ref.vuv, test.vuv)
-    if ref_v.size == 0:
-        raise ValueError("empty tracks")
     return 100.0 * float(np.mean(ref_v != test_v))
 
 
-def _truncate_rows(a, b):
+def _truncate_rows(a, b, stacklevel=3):
     """Clip both inputs to the shorter frame count, warning when they differ."""
     if a.shape[0] != b.shape[0]:
         n = min(a.shape[0], b.shape[0])
         warnings.warn(
             f"frame count mismatch ({a.shape[0]} vs {b.shape[0]}); comparing first {n}",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
         return a[:n], b[:n]
     return a, b
@@ -129,13 +124,8 @@ def _truncate_rows(a, b):
 
 def _common_voiced(ref: FeatureTrack, test: FeatureTrack) -> np.ndarray:
     """Indices of the frames voiced in both tracks, over their common length."""
-    n = min(len(ref), len(test))
-    if len(ref) != len(test):
-        warnings.warn(
-            f"frame count mismatch ({len(ref)} vs {len(test)}); comparing first {n}",
-            stacklevel=3,
-        )
-    both = np.nonzero(ref.vuv[:n] & test.vuv[:n])[0]
+    ref_v, test_v = _truncate_rows(ref.vuv, test.vuv, stacklevel=4)
+    both = np.nonzero(ref_v & test_v)[0]
     if both.size == 0:
         raise ValueError("no commonly voiced frames")
     return both

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dsp import _check_las
+
 _MAGIC = b"ALRF"
 _VERSION = 1
 
@@ -38,8 +40,9 @@ class RefinerModel:
 def fit_refiner(pairs, context_radius: int = 0) -> RefinerModel:
     """Least-squares per-bin affine fit of natural LAS against recovered LAS.
 
-    ``pairs`` is a sequence of (recovered, natural) matrices with matching
-    shapes and one bin count. The recovered side is first smoothed over
+    ``pairs`` is a sequence of (recovered, natural) LAS matrices, each 2-D
+    with at least one frame and finite, with matching shapes and one bin
+    count. The recovered side is first smoothed over
     +-context_radius frames, as :func:`apply_refiner` does; smoothing is
     linear with unit row sums, so the fit is least-squares for what is
     applied. Bins whose recovered values are (numerically) constant get
@@ -50,6 +53,7 @@ def fit_refiner(pairs, context_radius: int = 0) -> RefinerModel:
     if not pairs:
         raise ValueError("no training pairs")
     bins = np.shape(pairs[0][0])[1:]
+    checked = []
     for recovered, natural in pairs:
         if np.shape(recovered) != np.shape(natural):
             raise ValueError(
@@ -58,16 +62,12 @@ def fit_refiner(pairs, context_radius: int = 0) -> RefinerModel:
         if np.ndim(recovered) != 2 or np.shape(recovered)[1:] != bins:
             raise ValueError(f"bin count mismatch: pairs must be 2-D with one bin count, "
                              f"got {np.shape(recovered)} after {np.shape(pairs[0][0])}")
-    count = sum(np.shape(recovered)[0] for recovered, _ in pairs)
-    if count == 0:
-        raise ValueError("training pairs hold no frames")
+        checked.append((_check_las(recovered), _check_las(natural)))
+    count = sum(recovered.shape[0] for recovered, _ in checked)
 
     def smoothed_pairs():
-        for recovered, natural in pairs:
-            x = np.asarray(recovered, dtype=np.float64)
-            if context_radius > 0:
-                x = _moving_average(x, context_radius)
-            yield x, np.asarray(natural, dtype=np.float64)
+        for x, y in checked:
+            yield (_moving_average(x, context_radius) if context_radius > 0 else x), y
 
     x_sum = y_sum = 0.0
     for x, y in smoothed_pairs():
@@ -89,10 +89,7 @@ def fit_refiner(pairs, context_radius: int = 0) -> RefinerModel:
 
 def apply_refiner(model: RefinerModel, alas: np.ndarray) -> np.ndarray:
     """Apply the per-bin correction, then the optional frame smoothing."""
-    alas = np.asarray(alas, dtype=np.float64)
-    if alas.ndim != 2 or alas.shape[1] != model.num_bins:
-        raise ValueError(f"expected (frames, {model.num_bins}) input, got {alas.shape}")
-    out = alas * model.gain + model.bias
+    out = _check_las(alas, model.num_bins) * model.gain + model.bias
     if model.context_radius > 0:
         out = _moving_average(out, model.context_radius)
     return out

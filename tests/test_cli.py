@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import alaskit
 from alaskit import (
@@ -205,6 +207,83 @@ def test_evaluate_feat_rejects_mismatched_geometry(tmp_path):
         write_feature_file(paths[-1], track)
     assert cli.main(["evaluate", "--ref", str(paths[0]), "--test", str(paths[1]),
                      "--feat"]) == 2
+
+
+@pytest.mark.parametrize("mode", ["--las", "--feat"])
+def test_evaluate_rejects_flag_contradicting_both_headers(tmp_path, mode):
+    path = tmp_path / "in"
+    if mode == "--las":
+        write_las_file(path, np.zeros((5, 257)), 80, 16000)
+    else:
+        write_feature_file(path, FeatureTrack(f0=np.full(5, 120.0), vuv=np.ones(5, bool),
+                                              mcep=np.zeros((5, 41)), frame_shift=80,
+                                              sample_rate=16000))
+    argv = ["evaluate", mode, "--ref", str(path), "--test", str(path)]
+    assert cli.main(argv + ["--sample-rate", "8000"]) == 2
+    assert cli.main(argv + ["--sample-rate", "16000"]) == 0
+
+
+def test_refine_fit_rejects_mixed_geometry(tmp_path):
+    lines = []
+    for shift, rate in ((80, 16000), (40, 8000)):
+        path = tmp_path / f"{shift}.lask"
+        write_las_file(path, np.zeros((5, 257)), shift, rate)
+        lines.append(f"{path}\t{path}\n")
+    manifest = tmp_path / "pairs.txt"
+    manifest.write_text("".join(lines))
+    assert cli.main(["refine-fit", str(manifest), "-o", str(tmp_path / "m.alrf")]) == 2
+    assert not (tmp_path / "m.alrf").exists()
+
+
+@pytest.mark.parametrize("rate, code", [(400, 2), (499, 2), (500, 0)])
+def test_analyze_needs_sample_rate_of_f0_max(tmp_path, rate, code):
+    path = tmp_path / "low.wav"
+    write_wav(path, Waveform(0.5 * np.sin(2 * np.pi * 100.0 * np.arange(rate) / rate), rate))
+    assert cli.main(["analyze", str(path), "-o", str(tmp_path / "low.aftk")]) == code
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_log_floor_exits_two(tmp_path, utterance_wav, value):
+    out = tmp_path / "utt.aftk"
+    assert cli.main(["analyze", str(utterance_wav), "-o", str(out), "--log-floor", value]) == 2
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A small valid file of each kind the CLI reads."""
+    d = tmp_path_factory.mktemp("inputs")
+    write_wav(d / "in.wav", Waveform(0.5 * np.sin(2 * np.pi * 150.0 * np.arange(1600) / 16000),
+                                     16000))
+    assert cli.main(["analyze", str(d / "in.wav"), "-o", str(d / "in.aftk"),
+                     "--las", str(d / "in.lask")]) == 0
+    (d / "pairs.txt").write_text(f"{d / 'in.lask'}\t{d / 'in.lask'}\n")
+    assert cli.main(["refine-fit", str(d / "pairs.txt"), "-o", str(d / "in.alrf")]) == 0
+    return d
+
+
+def _reading_command(kind, bad, d):
+    out = str(d / "out")
+    return {
+        "wav": ["analyze", bad, "-o", out],
+        "aftk": ["recover", bad, "-o", out],
+        "lask": ["resynth", bad, "-o", out, "--iters", "1"],
+        "alrf": ["refine-apply", bad, str(d / "in.lask"), "-o", out],
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["wav", "aftk", "lask", "alrf"])
+@settings(max_examples=120, deadline=None)
+@given(flips=st.lists(st.tuples(st.integers(0, 63) | st.integers(0, 1 << 15),
+                                st.integers(1, 255)), max_size=4),
+       cut=st.none() | st.integers(0, 1 << 15))
+def test_corrupted_inputs_exit_zero_or_two(valid_inputs, kind, flips, cut):
+    data = bytearray((valid_inputs / f"in.{kind}").read_bytes())
+    for position, mask in flips:
+        data[position % len(data)] ^= mask
+    bad = valid_inputs / f"bad.{kind}"
+    bad.write_bytes(bytes(data[:cut]))
+    assert cli.main(_reading_command(kind, str(bad), valid_inputs)) in (0, 2)
 
 
 def test_non_finite_inputs_exit_two(tmp_path):

@@ -11,11 +11,16 @@ from hypothesis import strategies as st
 import oracles
 from alaskit import (
     AnalysisParams,
+    RefinerModel,
     Waveform,
+    apply_refiner,
+    emit_spectrogram_image,
     extract_las,
+    fit_refiner,
     frame_signal,
     griffin_lim,
     hann_window,
+    las_rmse_db,
     magnitude_error,
     mirror_full_spectrum,
 )
@@ -52,6 +57,11 @@ class TestFrameSignal:
     def test_empty_input(self, params):
         with pytest.raises(ValueError, match="empty input"):
             frame_signal(Waveform(np.zeros(0), 16000), params)
+
+    def test_returns_writable_array(self, params):
+        frames = frame_signal(Waveform(np.ones(500), 16000), params)
+        frames[0, 80] = 2.0  # the sample frame 1 starts with; frames are separate copies
+        assert frames[1, 0] == 1.0
 
     def test_frames_pad_and_truncate_to_n(self):
         ramp = np.arange(1.0, 11.0)
@@ -263,6 +273,8 @@ def _bad_las(params, kind):
     las = np.zeros((6, params.num_bins))
     if kind == "nan":
         las[2, 40] = np.nan
+    elif kind in ("inf", "-inf"):
+        las[1, 3] = float(kind)
     elif kind == "overflow":
         las[3, 7] = np.float32(710.0)  # finite in a float32 .lask, exp overflows
     elif kind == "empty":
@@ -272,6 +284,38 @@ def _bad_las(params, kind):
     elif kind == "1-d":
         las = las[0]
     return las
+
+
+class TestLasRule:
+    """Every function that takes a LAS rejects the same inputs: not 2-D, no
+    frames, or any non-finite value."""
+
+    @staticmethod
+    def _consumers(params, path):
+        good = np.zeros((6, params.num_bins))
+        model = RefinerModel(gain=np.ones(params.num_bins), bias=np.zeros(params.num_bins))
+        return {
+            "griffin_lim": lambda las: griffin_lim(las, params, iters=1),
+            "magnitude_error": lambda las: magnitude_error(Waveform(np.zeros(800), 16000),
+                                                           las, params),
+            "apply_refiner": lambda las: apply_refiner(model, las),
+            "fit_refiner": lambda las: fit_refiner([(las, las)]),
+            "las_rmse_db": lambda las: las_rmse_db(las, las),
+            "las_rmse_db_test": lambda las: las_rmse_db(good, las),
+            "emit_spectrogram_image": lambda las: emit_spectrogram_image(las, path),
+        }
+
+    @pytest.mark.parametrize("consumer", ["griffin_lim", "magnitude_error", "apply_refiner",
+                                          "fit_refiner", "las_rmse_db", "las_rmse_db_test",
+                                          "emit_spectrogram_image"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "empty", "1-d"])
+    def test_bad_las_rejected(self, params, tmp_path, consumer, bad):
+        call = self._consumers(params, tmp_path / "x.pgm")[consumer]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                call(_bad_las(params, bad))
+        assert not (tmp_path / "x.pgm").exists()
 
 
 class TestMagnitudeError:
@@ -316,6 +360,8 @@ class TestAnalysisParams:
             dict(warp_alpha=1.0),
             dict(log_floor=0.0),
             dict(sample_rate=0),
+            dict(log_floor=math.nan),
+            dict(log_floor=math.inf),
         ],
     )
     def test_invalid(self, kwargs):

@@ -1,5 +1,7 @@
 """Tests for F0 estimation, mel-cepstral analysis and feature extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,26 @@ class TestEstimateF0:
     def test_sample_rate_mismatch_rejected(self, params):
         with pytest.raises(ValueError, match="8000 Hz.*16000 Hz"):
             estimate_f0(_sine(200.0, 0.2, 8000), params)
+
+    @pytest.mark.parametrize("rate", [400, 499])
+    def test_sample_rate_below_f0_max_rejected(self, rate):
+        with pytest.raises(ValueError, match=f"{rate} Hz"):
+            estimate_f0(_sine(100.0, 1.0, rate), AnalysisParams(sample_rate=rate))
+
+    @pytest.mark.parametrize("rate, samples", [(192000, 48000), (16_000_000, 1600)])
+    def test_memory_does_not_grow_with_frames_times_lags(self, rate, samples):
+        # A (frames, frame_len + lag range) copy of the segments would take
+        # 40 MB for 0.25 s at 192 kHz; at 16 MHz the lag range runs far past
+        # the signal's end, and scanning it would take 100 MB.
+        wave = Waveform(0.5 * np.sin(2 * np.pi * 200.0 * np.arange(samples) / rate), rate)
+        tracemalloc.start()
+        try:
+            f0, vuv = estimate_f0(wave, AnalysisParams(sample_rate=rate))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        assert vuv.any() == (rate == 192000)
 
 
 class TestMcepAnalysis:

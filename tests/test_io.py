@@ -61,6 +61,21 @@ class TestWav:
         with pytest.raises(ValueError, match="malformed WAV"):
             read_wav(path)
 
+    def test_sample_rate_beyond_header_rejected(self, tmp_path):
+        path = tmp_path / "fast.wav"
+        with pytest.raises(ValueError, match="sample rate"):
+            write_wav(path, Waveform(np.zeros(10), 2**31))
+        assert not path.exists()
+
+    def test_chunk_size_past_end_of_file(self, tmp_path):
+        path = tmp_path / "long_fmt.wav"
+        write_wav(path, Waveform(np.zeros(100), 16000))
+        data = bytearray(path.read_bytes())
+        data[16:20] = struct.pack("<I", 10**6)  # the fmt chunk's size
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="malformed WAV"):
+            read_wav(path)
+
 
 def _track(n=7, seed=37):
     rng = np.random.default_rng(seed)

@@ -162,6 +162,13 @@ class TestFrameMismatchHandling:
         with pytest.warns(UserWarning):
             las_rmse_db(np.zeros((10, 8)), np.zeros((12, 8)))
 
+    def test_warning_points_at_the_caller(self):
+        a, b = _voiced_track(n=10), _voiced_track(n=11)
+        for metric in (mcd_v_db, f0_rmse_cent, vuv_error_pct):
+            with pytest.warns(UserWarning, match="frame count mismatch") as record:
+                metric(a, b)
+            assert [w.filename for w in record] == [__file__]
+
 
 class TestEvalReport:
     def test_lines_format(self):
