@@ -23,10 +23,13 @@ _HEADER = struct.Struct("<4sIIIII")
 
 def read_wav(path) -> Waveform:
     """Read a mono PCM16 RIFF/WAVE file, scaling samples to [-1, 1)."""
-    try:  # wave raises RuntimeError for a chunk size pointing past the end of the file
+    try:
         reader = wave_module.open(str(path), "rb")
     except (wave_module.Error, EOFError, RuntimeError) as exc:
-        raise ValueError(f"malformed WAV file {path}: {exc}") from exc
+        # wave raises these two with empty messages
+        reason = {EOFError: "the file ends inside its header",
+                  RuntimeError: "a chunk size runs past the end of the file"}.get(type(exc), exc)
+        raise ValueError(f"malformed WAV file {path}: {reason}") from exc
     with reader:
         if reader.getnchannels() != 1:
             raise ValueError("mono required")
@@ -57,11 +60,11 @@ def write_feature_file(path, track: FeatureTrack) -> None:
             f"feature file stores {FEATURE_DIMS - 1} coefficients per frame, "
             f"got {track.mcep.shape[1]}"
         )
-    payload = np.hstack([track.f0[:, None], track.mcep]).astype("<f4")
+    payload = _float32_bytes(np.hstack([track.f0[:, None], track.mcep]))
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(FEATURE_MAGIC, _VERSION, n, FEATURE_DIMS,
                               track.frame_shift, track.sample_rate))
-        fh.write(payload.tobytes())
+        fh.write(payload)
 
 
 def read_feature_file(path) -> FeatureTrack:
@@ -82,10 +85,20 @@ def write_las_file(path, las: np.ndarray, frame_shift: int, sample_rate: int) ->
     las = np.asarray(las, dtype=np.float64)
     if las.ndim != 2 or las.size == 0:
         raise ValueError("LAS matrix must be a non-empty 2-D array")
+    payload = _float32_bytes(las)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(LAS_MAGIC, _VERSION, las.shape[0], las.shape[1],
                               frame_shift, sample_rate))
-        fh.write(las.astype("<f4").tobytes())
+        fh.write(payload)
+
+
+def _float32_bytes(values: np.ndarray) -> bytes:
+    """The payload as little-endian float32 bytes. A finite value beyond the
+    float32 range would be stored as inf, which the readers reject, so it is
+    a ValueError here."""
+    if (np.isfinite(values) & (np.abs(values) > np.finfo(np.float32).max)).any():
+        raise ValueError("values beyond the float32 range (about 3.4e38) cannot be stored")
+    return values.astype("<f4").tobytes()
 
 
 def read_las_file(path) -> tuple[np.ndarray, int, int]:

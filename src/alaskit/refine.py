@@ -88,10 +88,16 @@ def fit_refiner(pairs, context_radius: int = 0) -> RefinerModel:
 
 
 def apply_refiner(model: RefinerModel, alas: np.ndarray) -> np.ndarray:
-    """Apply the per-bin correction, then the optional frame smoothing."""
-    out = _check_las(alas, model.num_bins) * model.gain + model.bias
-    if model.context_radius > 0:
-        out = _moving_average(out, model.context_radius)
+    """Apply the per-bin correction, then the optional frame smoothing. A
+    model whose gains or biases take a value past the float64 range is a
+    ValueError."""
+    alas = _check_las(alas, model.num_bins)
+    with np.errstate(over="ignore", invalid="ignore"):  # the result is checked below
+        out = alas * model.gain + model.bias
+        if model.context_radius > 0:
+            out = _moving_average(out, model.context_radius)
+    if not np.isfinite(out).all():
+        raise ValueError("the refiner's gains or biases take the LAS past the float64 range")
     return out
 
 

@@ -8,10 +8,11 @@ vector at a time with ``warp_cepstrum``, which is itself checked against
 the scalar recursion.
 
 The library frames every signal through one frame-grid helper and runs
-Griffin-Lim as one scatter-add synthesis and one phasor update per
-iteration. The hand-padded framing, the per-frame F0 search over its own
-padded buffer, and the per-frame overlap-add Griffin-Lim with its
-angle/exp phase round trip are kept below as their references.
+Griffin-Lim in blocks of frames with one scatter-add synthesis and one
+phasor update per iteration. The hand-padded framing, the per-frame F0
+search over its own padded buffer, and the per-frame overlap-add
+Griffin-Lim (with or without momentum) with its angle/exp phase round
+trip are kept below as their references.
 """
 
 import numpy as np
@@ -138,10 +139,12 @@ def overlap_add_loop(spectra, params, window):
     return out
 
 
-def griffin_lim_loop(las, params, iters=60):
+def griffin_lim_loop(las, params, iters=60, momentum=0.99):
     """Griffin-Lim with the per-frame overlap-add and the phase carried as
     angles: np.angle after each analysis, np.exp(1j*phase) before each
-    synthesis, from the same linear start phase; unit-peak scaling."""
+    synthesis, from the same linear start phase; unit-peak scaling. With
+    momentum alpha, the phase is the angle of the analysed spectra minus
+    alpha/(1+alpha) times the previous iteration's analysed spectra."""
     magnitudes = np.exp(las)
     window = hann_window(params.frame_len)
     bins = np.arange(params.num_bins)
@@ -150,11 +153,15 @@ def griffin_lim_loop(las, params, iters=60):
     ).copy()
     starts = params.frame_shift * np.arange(las.shape[0])
     grid = starts[:, None] + np.arange(params.frame_len)[None, :]
-    signal = None
+    signal = previous = None
     for _ in range(iters):
         signal = overlap_add_loop(magnitudes * np.exp(1j * phase), params, window)
         spectra = np.fft.rfft(signal[grid] * window, n=params.fft_size, axis=1)
-        phase = np.angle(spectra)
+        estimate = spectra
+        if previous is not None:
+            estimate = spectra - momentum / (1.0 + momentum) * previous
+        phase = np.angle(estimate)
+        previous = spectra
     peak = np.max(np.abs(signal))
     if peak > 1.0:
         signal = signal / peak

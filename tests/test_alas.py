@@ -3,6 +3,7 @@ and full-frame reconstruction, with the batched maps checked against the
 per-frame oracles in ``oracles.py``."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,20 @@ class TestFilterSpectrum:
             assert np.all(v > 0.0)
             assert np.all(np.isfinite(v))
 
+    @pytest.mark.parametrize("value", [1e30, 710.0])
+    def test_overflowing_exp_rejected(self, params, value):
+        coeffs = np.zeros((3, 41))
+        coeffs[1, 0] = value  # the energy term adds its value to every log bin
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mel-cepstra too large"):
+                filter_spectrum(coeffs, params)
+
+    def test_largest_finite_exp_accepted(self, params):
+        coeffs = np.zeros(41)
+        coeffs[0] = 709.0
+        assert np.all(np.isfinite(filter_spectrum(coeffs, params)))
+
     def test_too_many_coefficients(self, params):
         with pytest.raises(ValueError):
             filter_spectrum(np.zeros(params.num_bins + 1), params)
@@ -268,6 +283,16 @@ class TestRecoverAlas:
                              frame_shift=40, sample_rate=8000)
         with pytest.raises(ValueError, match="geometry"):
             recover_alas(track, params)
+
+    def test_huge_mcep_rejected_without_warning(self, params):
+        mcep = np.zeros((4, 41))
+        mcep[2, 5] = 1e30
+        track = FeatureTrack(f0=np.zeros(4), vuv=np.zeros(4, bool), mcep=mcep,
+                             frame_shift=80, sample_rate=16000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="exp overflows"):
+                recover_alas(track, params)
 
     def test_frame_order_preserved(self, params, vowel_corpus):
         track = extract_features(vowel_corpus[1], params)

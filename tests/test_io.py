@@ -1,6 +1,7 @@
 """Tests for WAV, feature-file, LAS-file and PGM output round trips."""
 
 import struct
+import warnings
 import wave as wave_module
 
 import numpy as np
@@ -73,7 +74,14 @@ class TestWav:
         data = bytearray(path.read_bytes())
         data[16:20] = struct.pack("<I", 10**6)  # the fmt chunk's size
         path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="malformed WAV"):
+        with pytest.raises(ValueError, match="malformed WAV.*: a chunk size runs past the end"):
+            read_wav(path)
+
+    def test_file_cut_inside_header(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        write_wav(path, Waveform(np.zeros(100), 16000))
+        path.write_bytes(path.read_bytes()[:30])  # ends inside the fmt chunk
+        with pytest.raises(ValueError, match="malformed WAV.*: the file ends inside its header"):
             read_wav(path)
 
 
@@ -126,6 +134,17 @@ class TestFeatureFile:
         with pytest.raises(ValueError, match="truncated payload"):
             read_feature_file(path)
 
+    @pytest.mark.parametrize("value", [1e39, -1e300])
+    def test_value_beyond_float32_rejected(self, tmp_path, value):
+        track = _track()
+        track.mcep[3, 4] = value
+        path = tmp_path / "big.aftk"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="float32 range"):
+                write_feature_file(path, track)
+        assert not path.exists()
+
     def test_non_finite_f0_rejected(self, tmp_path):
         track = _track()
         track.f0[2] = np.nan
@@ -152,6 +171,24 @@ class TestLasFile:
         write_las_file(path, las, 80, 16000)
         with pytest.raises(ValueError, match="non-finite"):
             read_las_file(path)
+
+    @pytest.mark.parametrize("value", [1e39, -1e300])
+    def test_value_beyond_float32_rejected(self, tmp_path, value):
+        las = np.zeros((4, 257))
+        las[2, 9] = value
+        path = tmp_path / "big.lask"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="float32 range"):
+                write_las_file(path, las, 80, 16000)
+        assert not path.exists()
+
+    def test_largest_float32_round_trips(self, tmp_path):
+        las = np.zeros((2, 257))
+        las[1, 0] = -float(np.finfo(np.float32).max)
+        path = tmp_path / "edge.lask"
+        write_las_file(path, las, 80, 16000)
+        assert np.array_equal(read_las_file(path)[0], las)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.lask"

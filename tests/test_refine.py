@@ -1,5 +1,7 @@
 """Tests for the per-bin affine refinement stage."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,15 @@ class TestApplyRefiner:
         model = RefinerModel(gain=np.ones(8), bias=np.zeros(8))
         with pytest.raises(ValueError):
             apply_refiner(model, np.zeros((4, 9)))
+
+    @pytest.mark.parametrize("radius", [0, 1])
+    def test_float64_overflow_rejected_without_warning(self, radius):
+        model = RefinerModel(gain=np.full(4, 1e308), bias=np.full(4, 1e308),
+                             context_radius=radius)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="float64 range"):
+                apply_refiner(model, np.full((3, 4), 1.5))
 
     def test_context_smoothing_averages_frames(self):
         model = RefinerModel(gain=np.ones(4), bias=np.zeros(4), context_radius=1)
