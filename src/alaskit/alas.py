@@ -95,12 +95,17 @@ def recover_alas(track: FeatureTrack, params: AnalysisParams) -> np.ndarray:
     Per frame, the source-filter product is mirrored to a full even
     spectrum and circularly convolved with the window spectrum; the
     magnitudes of the K bins from zero frequency upward are floored and
-    logged.
+    logged. Mel-cepstra whose spectra overflow, in the exponential or in
+    the convolution, are a ValueError.
     """
     if (track.frame_shift, track.sample_rate) != (params.frame_shift, params.sample_rate):
         raise ValueError(f"track geometry {track.frame_shift}/{track.sample_rate} (frame shift/"
                          f"sample rate) differs from params {params.frame_shift}/{params.sample_rate}")
     excitation = excitation_spectrum(np.where(track.vuv, track.f0, 0.0), params)
     source_filter = excitation * filter_spectrum(track.mcep, params)
-    convolved = source_filter @ _window_convolution_map(params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        convolved = source_filter @ _window_convolution_map(params)
+    if not np.isfinite(convolved).all():
+        raise ValueError("mel-cepstra too large: the window convolution of their "
+                         "spectra overflows")
     return np.log(np.maximum(np.abs(convolved), params.log_floor))

@@ -159,7 +159,7 @@ def _infer_mode(path) -> str:
 def _cmd_resynth(args):
     las, *geometry = io.read_las_file(args.input)
     params = _resolve_params(args, (args.input, *geometry))
-    wave = dsp.griffin_lim(las, params, iters=args.iters, momentum=args.momentum)
+    wave = dsp.griffin_lim(las, params, iters=args.iters)
     io.write_wav(args.output, wave)
     return 0
 
@@ -214,8 +214,6 @@ def _build_parser() -> _Parser:
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--iters", type=int, default=60)
-    p.add_argument("--momentum", type=float, default=0.99,
-                   help="fast Griffin-Lim momentum in [0, 1]; 0 is classic Griffin-Lim")
     _add_param_flags(p)
     p.set_defaults(func=_cmd_resynth)
 

@@ -207,30 +207,27 @@ def _las_magnitudes(las: np.ndarray, params: AnalysisParams) -> np.ndarray:
     return np.exp(las)
 
 
-def _overlap_add(grid: np.ndarray, window: np.ndarray):
-    """Least-squares overlap-add on a frame grid, as a function of the
-    windowed frames: one scatter-add over the squared-window sum. Samples
+def _inverse_stft(grid: np.ndarray, window: np.ndarray, fft_size: int):
+    """Least-squares inverse STFT on a frame grid, as a function of the spectra:
+    windowed overlap-add (one scatter-add) over the squared-window sum. Samples
     covered below 1% of the peak level are left unnormalized; dividing there
     would amplify edge samples by up to the inverse squared window value.
-    The frames must be a contiguous (frames, frame_len) array; each call
-    returns a new signal."""
+    The inverse FFT and windowed frames go to buffers allocated once here;
+    each call returns a new signal."""
     index = grid.ravel()
     norm = np.bincount(index, np.tile(window * window, grid.shape[0]))
     norm[norm <= 0.01 * norm.max()] = 1.0
+    full = np.empty((grid.shape[0], fft_size))
+    frames = np.empty(grid.shape)  # contiguous, so ravel is a view
 
-    def overlap_add(frames: np.ndarray) -> np.ndarray:
+    def synthesize(spectra: np.ndarray) -> np.ndarray:
+        np.fft.irfft(spectra, n=fft_size, axis=1, out=full)
+        np.multiply(full[:, : window.size], window, out=frames)
         signal = np.bincount(index, frames.ravel())
         signal /= norm
         return signal
 
-    return overlap_add
-
-
-# Frames per Griffin-Lim block. Analysis, projection and synthesis of a
-# block run back to back in scratch buffers that every block reuses, so each
-# pass finds its input recently touched; 100 to 400 frames measured alike,
-# a whole 1600-frame signal in one block slower.
-_GL_BLOCK = 200
+    return synthesize
 
 
 def griffin_lim(las: np.ndarray, params: AnalysisParams, iters: int = 60,
@@ -242,63 +239,45 @@ def griffin_lim(las: np.ndarray, params: AnalysisParams, iters: int = 60,
     ``momentum`` alpha > 0 this is fast Griffin-Lim (Perraud, Magron &
     Badeau, 2013): each phase comes from the analysed spectra minus
     alpha/(1+alpha) times the previous iteration's analysed spectra;
-    alpha = 0 is the classic algorithm. The start is deterministic: a
-    linear phase placing each frame's energy at the window center. If the
-    result peaks above 1 it is scaled down to unit peak.
-
-    Each iteration runs over blocks of frames (analysis, phase update and
-    synthesis per block) in buffers allocated once per call, then
-    overlap-adds the whole signal. The STFT is linear, so the momentum step
-    is taken on the signal before analysis: STFT(x) - c * STFT(x_prev) is
-    STFT(x - c * x_prev).
+    alpha = 0 is the classic algorithm. The STFT is linear, so the step is
+    taken on the signal before analysis: STFT(x) - c * STFT(x_prev) is
+    STFT(x - c * x_prev). The start is deterministic: a linear phase placing
+    each frame's energy at the window center. If the result peaks above 1
+    it is scaled down to unit peak. Every iteration runs in buffers
+    allocated once per call.
     """
     magnitudes = _las_magnitudes(las, params)
     if iters < 1:
         raise ValueError("iters must be >= 1")
     if not 0.0 <= momentum <= 1.0:  # false for NaN
         raise ValueError(f"momentum must be in [0, 1], got {momentum}")
-    n, length, fft_size = magnitudes.shape[0], params.frame_len, params.fft_size
+    length = params.frame_len
     window = hann_window(length)
-    grid = _frame_grid(n, length, params.frame_shift)
-    overlap_add = _overlap_add(grid, window)
-    phase = -2.0 * np.pi * np.arange(params.num_bins) * (length // 2) / fft_size
-    start = np.exp(1j * phase)
-    frames = np.empty(grid.shape)  # windowed synthesis frames, the overlap-add input
+    grid = _frame_grid(magnitudes.shape[0], length, params.frame_shift)
+    synthesize = _inverse_stft(grid, window, params.fft_size)
+    phase = -2.0 * np.pi * np.arange(params.num_bins) * (length // 2) / params.fft_size
+    spectra = magnitudes * np.exp(1j * phase)
+    frames = np.empty(grid.shape)
+    padded = np.zeros((grid.shape[0], params.fft_size))
+    size = np.empty(magnitudes.shape)
     step = momentum / (1.0 + momentum)
-    block = min(_GL_BLOCK, n)
-    taken = np.empty((block, length))
-    padded = np.zeros((block, fft_size))
-    spectra = np.empty((block, params.num_bins), complex)
-    size = np.empty((block, params.num_bins))
-    full = np.empty((block, fft_size))
-
-    def update(rows, signal):
-        """Frames ``rows``: the start spectra if ``signal`` is None, else its
-        analysis projected on the magnitudes; then their synthesis."""
-        k = rows.stop - rows.start
-        spec, mag = spectra[:k], size[:k]
-        if signal is None:
-            np.multiply(magnitudes[rows], start, out=spec)
-        else:
-            # indices are in range; mode="clip" writes to out, "raise" buffers a copy
-            np.take(signal, grid[rows], out=taken[:k], mode="clip")
-            np.multiply(taken[:k], window, out=padded[:k, :length])
-            np.fft.rfft(padded[:k], axis=1, out=spec)
-            np.abs(spec, out=mag)
-            if not mag.all():  # a zero bin keeps phasor 1, as np.angle's phase 0
-                zero = mag == 0
-                spec[zero] = mag[zero] = 1.0
-            np.divide(magnitudes[rows], mag, out=mag)
-            spec *= mag  # magnitudes times the unit phasors spec / |spec|
-        np.fft.irfft(spec, n=fft_size, axis=1, out=full[:k])
-        np.multiply(full[:k, :length], window, out=frames[rows])
-
-    signal = estimate = None  # estimate: the signal whose analysis sets the phase
-    for _ in range(iters):
-        for first in range(0, n, block):
-            update(slice(first, min(first + block, n)), estimate)
-        previous, signal = signal, overlap_add(frames)
+    previous = None
+    for _ in range(iters - 1):
+        signal = synthesize(spectra)
+        # the signal whose analysis sets the phase
         estimate = signal if previous is None or not step else signal - step * previous
+        previous = signal
+        # indices are in range; mode="clip" writes to out, "raise" buffers a copy
+        np.take(estimate, grid, out=frames, mode="clip")
+        np.multiply(frames, window, out=padded[:, :length])
+        np.fft.rfft(padded, axis=1, out=spectra)
+        np.abs(spectra, out=size)
+        if not size.all():  # a zero bin keeps phasor 1, as np.angle's phase 0
+            zero = size == 0
+            spectra[zero] = size[zero] = 1.0
+        np.divide(magnitudes, size, out=size)
+        spectra *= size  # magnitudes times the unit phasors spectra / |spectra|
+    signal = synthesize(spectra)
     return Waveform(signal / max(1.0, np.max(np.abs(signal))), params.sample_rate)
 
 

@@ -8,11 +8,11 @@ vector at a time with ``warp_cepstrum``, which is itself checked against
 the scalar recursion.
 
 The library frames every signal through one frame-grid helper and runs
-Griffin-Lim in blocks of frames with one scatter-add synthesis and one
-phasor update per iteration. The hand-padded framing, the per-frame F0
-search over its own padded buffer, and the per-frame overlap-add
-Griffin-Lim (with or without momentum) with its angle/exp phase round
-trip are kept below as their references.
+Griffin-Lim as one scatter-add synthesis and one phasor update per
+iteration. The hand-padded framing, the per-frame F0 search over its own
+padded buffer, and the per-frame overlap-add Griffin-Lim (with or without
+momentum) with its angle/exp phase round trip are kept below as their
+references.
 """
 
 import numpy as np

@@ -294,6 +294,18 @@ class TestRecoverAlas:
             with pytest.raises(ValueError, match="exp overflows"):
                 recover_alas(track, params)
 
+    def test_convolution_overflow_rejected_without_warning(self, params):
+        # exp(709) is finite, but an unvoiced frame sums about fft_size of
+        # such bins in the window convolution
+        mcep = np.zeros((5, 41))
+        mcep[:, 0] = 709.0
+        track = FeatureTrack(f0=np.zeros(5), vuv=np.zeros(5, bool), mcep=mcep,
+                             frame_shift=80, sample_rate=16000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="convolution .* overflows"):
+                recover_alas(track, params)
+
     def test_frame_order_preserved(self, params, vowel_corpus):
         track = extract_features(vowel_corpus[1], params)
         perm = np.random.default_rng(18).permutation(len(track))
