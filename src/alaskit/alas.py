@@ -14,8 +14,22 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dsp import _EXP_MAX, AnalysisParams, hann_window, mirror_full_spectrum, warp_cepstrum
+from .dsp import _EXP_MAX, AnalysisParams, _warp_matrix, hann_window, mirror_full_spectrum
 from .features import FeatureTrack
+
+
+@lru_cache(maxsize=8)
+def _comb_table(bins: int) -> np.ndarray:
+    """Read-only (bins+1) x bins table of source spectra by harmonic spacing:
+    row 0 is the unvoiced all-ones row, row k in [1, bins) has unit pulses
+    at the nonzero multiples of k, and row ``bins`` (any spacing past the
+    last bin) is all zeros."""
+    table = np.zeros((bins + 1, bins))
+    table[0] = 1.0
+    for k0 in range(1, bins):
+        table[k0, k0::k0] = 1.0
+    table.flags.writeable = False
+    return table
 
 
 def excitation_spectrum(f0: float | np.ndarray, params: AnalysisParams) -> np.ndarray:
@@ -29,17 +43,18 @@ def excitation_spectrum(f0: float | np.ndarray, params: AnalysisParams) -> np.nd
     f0 = np.asarray(f0, dtype=np.float64)
     if not np.all(np.isfinite(f0) & (f0 >= 0.0)):
         raise ValueError("f0 must be finite and nonnegative")
+    k = params.num_bins
     # half-up rounding, independent of banker's rounding in round()
-    k0 = np.maximum(1.0, np.floor(f0 / params.sample_rate * params.fft_size + 0.5))[..., None]
-    bins = np.arange(params.num_bins)
-    return np.where(f0[..., None] == 0.0, 1.0, (bins > 0) & (bins % k0 == 0))
+    k0 = np.maximum(1.0, np.floor(f0 / params.sample_rate * params.fft_size + 0.5))
+    row = np.where(f0 == 0.0, 0.0, np.minimum(k0, k)).astype(np.intp)
+    return np.take(_comb_table(k), row, axis=0)  # a new array, never the table
 
 
 @lru_cache(maxsize=8)
 def _log_filter_map(params: AnalysisParams) -> np.ndarray:
     """K x K map from padded coefficients to the log filter spectrum: row j
     is the unwarped, mirrored and transformed j-th unit coefficient."""
-    cep = warp_cepstrum(np.eye(params.num_bins), params.warp_alpha)
+    cep = _warp_matrix(params.num_bins, float(params.warp_alpha)).T
     return np.fft.rfft(mirror_full_spectrum(cep, params.fft_size)).real
 
 

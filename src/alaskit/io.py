@@ -93,10 +93,12 @@ def write_las_file(path, las: np.ndarray, frame_shift: int, sample_rate: int) ->
 
 
 def _float32_bytes(values: np.ndarray) -> bytes:
-    """The payload as little-endian float32 bytes. A finite value beyond the
-    float32 range would be stored as inf, which the readers reject, so it is
-    a ValueError here."""
-    if (np.isfinite(values) & (np.abs(values) > np.finfo(np.float32).max)).any():
+    """The payload as little-endian float32 bytes. The readers reject NaN and
+    inf, and a finite value beyond the float32 range would be stored as inf,
+    so both are a ValueError here."""
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite values (NaN or inf) cannot be stored")
+    if (np.abs(values) > np.finfo(np.float32).max).any():
         raise ValueError("values beyond the float32 range (about 3.4e38) cannot be stored")
     return values.astype("<f4").tobytes()
 

@@ -1,7 +1,19 @@
+import threading
+
 import numpy as np
 import pytest
 
 from alaskit import AnalysisParams, Waveform
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail any test that leaves a thread alive which it started."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate() if t not in before]
+    if leaked:
+        pytest.fail(f"threads left running: {leaked}")
 
 
 @pytest.fixture(scope="session")

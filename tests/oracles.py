@@ -7,6 +7,9 @@ can compare the two with stated tolerances. The per-frame forms warp one
 vector at a time with ``warp_cepstrum``, which is itself checked against
 the scalar recursion.
 
+The library looks each source comb up in a cached table by its harmonic
+spacing; the float-modulo comb it replaced is kept below as its reference.
+
 The library frames every signal through one frame-grid helper and runs
 Griffin-Lim as one scatter-add synthesis and one phasor update per
 iteration. The hand-padded framing, the per-frame F0 search over its own
@@ -19,7 +22,6 @@ import numpy as np
 
 from alaskit import (
     Waveform,
-    excitation_spectrum,
     hann_window,
     mirror_full_spectrum,
     warp_cepstrum,
@@ -64,11 +66,20 @@ def mcep_frame(las_frame, params, order=40):
     return warp_cepstrum(cepstrum, -params.warp_alpha)[: order + 1]
 
 
+def excitation_spectrum_modulo(f0, params):
+    """``excitation_spectrum`` testing every bin against the harmonic spacing
+    K0 with a float modulo, instead of looking its row up in a table."""
+    f0 = np.asarray(f0, dtype=np.float64)
+    k0 = np.maximum(1.0, np.floor(f0 / params.sample_rate * params.fft_size + 0.5))[..., None]
+    bins = np.arange(params.num_bins)
+    return np.where(f0[..., None] == 0.0, 1.0, (bins > 0) & (bins % k0 == 0))
+
+
 def recover_alas_frame(f0, vuv, mcep_with_energy, params):
     """Per-frame ALAS: comb times filter spectrum, mirrored, circularly
     convolved with the window spectrum through FFTs, floored and logged."""
     k = params.num_bins
-    excitation = excitation_spectrum(f0 if vuv else 0.0, params)
+    excitation = excitation_spectrum_modulo(f0 if vuv else 0.0, params)
     padded = np.zeros(k)
     padded[: len(mcep_with_energy)] = mcep_with_energy
     cep = warp_cepstrum(padded, params.warp_alpha)

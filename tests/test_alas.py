@@ -7,6 +7,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import oracles
 from alaskit import (
@@ -21,6 +24,7 @@ from alaskit import (
     warp_cepstrum,
     window_spectrum,
 )
+from alaskit.alas import _log_filter_map
 
 # Batched recover_alas against the per-frame oracle: the maps reorder the
 # float64 sums, which moves linear magnitudes by a few ulps of the frame
@@ -71,6 +75,49 @@ class TestExcitationSpectrum:
             assert pulses[0] == k0
             assert np.all(e[pulses] == 1.0)
             assert e.sum() == len(pulses)
+
+
+# F0 values for the comb: unvoiced, tiny (K0 clamps to 1), speech, the
+# rounding edges (k - 1/2) * 16000/512 of the default geometry, spacings
+# at or past the last bin, and huge values up to the float64 range
+F0_VALUES = st.one_of(
+    st.just(0.0),
+    st.floats(5e-324, 1.0),
+    st.floats(50.0, 500.0),
+    st.integers(1, 600).map(lambda k: (k - 0.5) * 16000 / 512),
+    st.floats(7900.0, 1e6),
+    st.just(1e300),
+    st.floats(1e6, 1.7e308),
+)
+COMB_GEOMETRIES = [AnalysisParams(), AnalysisParams(frame_len=640, fft_size=1024),
+                   AnalysisParams(sample_rate=8000, frame_len=160, frame_shift=40, fft_size=256)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=st.sampled_from(COMB_GEOMETRIES),
+       f0=F0_VALUES | arrays(np.float64, array_shapes(min_dims=0, max_dims=3, max_side=5),
+                             elements=F0_VALUES))
+def test_excitation_table_matches_modulo_comb(params, f0):
+    got = excitation_spectrum(f0, params)
+    want = oracles.excitation_spectrum_modulo(f0, params)
+    assert got.shape == np.shape(f0) + (params.num_bins,) and got.dtype == np.float64
+    assert np.array_equal(got, want)
+
+
+def test_excitation_result_is_a_fresh_array(params):
+    for f0 in (0.0, 200.0, np.array([0.0, 200.0, 1e9])):
+        excitation_spectrum(f0, params)[...] = 7.0
+    assert np.array_equal(excitation_spectrum(200.0, params),
+                          oracles.excitation_spectrum_modulo(200.0, params))
+    assert np.all(excitation_spectrum(0.0, params) == 1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.42, 0.55])
+def test_log_filter_map_is_warp_of_unit_vectors(alpha):
+    params = AnalysisParams(warp_alpha=alpha)
+    cep = warp_cepstrum(np.eye(params.num_bins), alpha)
+    want = np.fft.rfft(mirror_full_spectrum(cep, params.fft_size)).real
+    assert np.array_equal(_log_filter_map(params), want)
 
 
 class TestWarpCepstrum:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import alaskit
+import rawfiles
 from alaskit import (
     AnalysisParams,
     FeatureTrack,
@@ -332,15 +333,15 @@ def test_non_finite_inputs_exit_two(tmp_path):
     las = np.zeros((5, 257))
     las[2, 7] = np.nan
     bad_las = tmp_path / "nan.lask"
-    write_las_file(bad_las, las, 80, 16000)
+    rawfiles.write_container(bad_las, b"LASK", las)
     good_las = tmp_path / "ok.lask"
     write_las_file(good_las, np.zeros((5, 257)), 80, 16000)
     assert cli.main(["evaluate", "--ref", str(good_las), "--test", str(bad_las)]) == 2
 
-    track = FeatureTrack(f0=np.array([100.0, np.nan, 0.0]), vuv=np.ones(3, bool),
-                         mcep=np.zeros((3, 41)), frame_shift=80, sample_rate=16000)
+    rows = np.zeros((3, 42))
+    rows[:, 0] = [100.0, np.nan, 0.0]
     bad_feat = tmp_path / "nan.aftk"
-    write_feature_file(bad_feat, track)
+    rawfiles.write_container(bad_feat, b"AFTK", rows)
     assert cli.main(["recover", str(bad_feat), "-o", str(tmp_path / "out.lask")]) == 2
 
 

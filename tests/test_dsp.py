@@ -1,6 +1,9 @@
 """Tests for framing, windowing, LAS extraction and Griffin-Lim."""
 
+import itertools
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -24,7 +27,8 @@ from alaskit import (
     magnitude_error,
     mirror_full_spectrum,
 )
-from alaskit.dsp import _frame_grid, _frames, _inverse_stft
+from alaskit import dsp
+from alaskit.dsp import _frame_grid, _frames, _overlap_add
 
 # Griffin-Lim against the per-frame, angle/exp oracle: the scatter-add adds
 # in the loop's order, so one iteration is bit-identical; the phasor update
@@ -98,7 +102,8 @@ def test_synthesis_inverts_analysis(geometry, size, seed):
     frames = frame_signal(Waveform(samples, params.sample_rate), params)
     n = frames.shape[0]
     spectra = np.fft.rfft(frames * window, n=fft_size, axis=1)
-    out = _inverse_stft(_frame_grid(n, length, shift), window, fft_size)(spectra)
+    windowed = np.fft.irfft(spectra, n=fft_size, axis=1)[:, :length] * window
+    out = _overlap_add(_frame_grid(n, length, shift), window)(windowed)
     norm = np.zeros(out.size)
     for i in range(n):
         norm[i * shift : i * shift + length] += window * window
@@ -123,6 +128,28 @@ class TestHannWindow:
     def test_too_short(self):
         with pytest.raises(ValueError):
             hann_window(1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(geometry=st.sampled_from([(320, 80, 512), (320, 96, 512), (256, 100, 256),
+                                 (320, 320, 512), (64, 7, 128)]),
+       scale=st.sampled_from([1.0, 1e-12, 0.0]),
+       seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_extract_las_matches_framed_form(geometry, scale, seed, data):
+    """extract_las equals the rfft of frame_signal's frames times the window,
+    floored and logged, bit for bit."""
+    length, shift, fft_size = geometry
+    size = data.draw(st.one_of(
+        st.integers(1, length - 1),  # shorter than one frame
+        st.integers(1, 30).map(lambda k: k * shift),  # exact multiples of the shift
+        st.integers(length, 30 * shift).filter(lambda n: n % shift),  # off the grid
+    ))
+    params = AnalysisParams(frame_len=length, frame_shift=shift, fft_size=fft_size)
+    wave = Waveform(scale * np.random.default_rng(seed).standard_normal(size), params.sample_rate)
+    spectra = np.fft.rfft(frame_signal(wave, params) * hann_window(length), n=fft_size, axis=1)
+    expected = np.log(np.maximum(np.abs(spectra), params.log_floor))
+    assert np.array_equal(extract_las(wave, params), expected)
 
 
 class TestExtractLas:
@@ -289,6 +316,91 @@ class TestGriffinLim:
         # earlier result would show too
         for got, want in zip(interleaved, [fresh[0], fresh[1], fresh[0], fresh[2], fresh[1]]):
             assert np.array_equal(got, want)
+
+
+class TestGriffinLimThreads:
+    """Two row blocks on two threads against one block inline."""
+
+    @staticmethod
+    def _run(las, params, monkeypatch, workers, momentum=0.99, iters=5):
+        pools, make_pool = [], dsp._thread_pool
+
+        def counting_pool():
+            pools.append(make_pool())
+            return pools[-1]
+
+        monkeypatch.setattr(dsp, "_worker_count", lambda: workers)
+        monkeypatch.setattr(dsp, "_thread_pool", counting_pool)
+        samples = griffin_lim(las, params, iters=iters, momentum=momentum).samples
+        return samples, pools
+
+    @pytest.mark.parametrize("momentum", MOMENTA)
+    @pytest.mark.parametrize("shift", [80, 96])  # 320/96: frame_len not a multiple of the shift
+    @pytest.mark.parametrize("extra", [0, 1, 205])  # at and just above the threshold, and odd
+    def test_two_blocks_equal_one(self, vowel_corpus, monkeypatch, momentum, shift, extra):
+        params = AnalysisParams(frame_shift=shift)
+        samples = np.concatenate([wave.samples for wave in vowel_corpus[:3]])
+        las = extract_las(Waveform(samples, params.sample_rate), params)
+        las = las[: dsp._THREAD_MIN_FRAMES + extra]
+        threaded, pools = self._run(las, params, monkeypatch, 2, momentum)
+        assert len(pools) == 1
+        inline, pools = self._run(las, params, monkeypatch, 1, momentum)
+        assert pools == []
+        assert np.array_equal(threaded, inline)
+
+    def test_concurrent_calls_under_fast_switching(self, params, vowel_corpus, monkeypatch):
+        # three calls at once run six block threads on the usable CPUs, with
+        # the interpreter switching threads every microsecond
+        lases = [extract_las(wave, params)[: dsp._THREAD_MIN_FRAMES + 11 * i]
+                 for i, wave in enumerate(vowel_corpus[:3])]
+        monkeypatch.setattr(dsp, "_worker_count", lambda: 1)
+        want = [griffin_lim(las, params, iters=5).samples for las in lases]
+        monkeypatch.setattr(dsp, "_worker_count", lambda: 2)
+        got = [None] * len(lases)
+
+        def call(i):
+            got[i] = griffin_lim(lases[i], params, iters=5).samples
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(lases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for g, w in zip(got, want):
+            assert g is not None and np.array_equal(g, w)
+
+    def test_short_input_runs_inline(self, params, vowel_corpus, monkeypatch):
+        las = extract_las(vowel_corpus[0], params)[: dsp._THREAD_MIN_FRAMES - 1]
+        _, pools = self._run(las, params, monkeypatch, 2)
+        assert pools == []
+
+    def test_one_usable_cpu_gives_one_block(self, monkeypatch):
+        monkeypatch.setattr(dsp.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert dsp._worker_count() == 1
+
+    def test_pool_shut_down_when_an_iteration_raises(self, params, vowel_corpus, monkeypatch):
+        las = extract_las(vowel_corpus[0], params)
+        assert las.shape[0] >= dsp._THREAD_MIN_FRAMES
+        monkeypatch.setattr(dsp, "_worker_count", lambda: 2)
+        calls = itertools.count()
+        rfft = np.fft.rfft
+
+        def failing_rfft(*args, **kwargs):
+            if next(calls) == 2:  # the second iteration's first analysis
+                raise RuntimeError("injected failure")
+            return rfft(*args, **kwargs)
+
+        before = set(threading.enumerate())
+        monkeypatch.setattr(np.fft, "rfft", failing_rfft)
+        with pytest.raises(RuntimeError, match="injected failure"):
+            griffin_lim(las, params, iters=10)
+        assert set(threading.enumerate()) <= before
 
 
 def _bad_las(params, kind):

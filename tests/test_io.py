@@ -7,6 +7,7 @@ import wave as wave_module
 import numpy as np
 import pytest
 
+import rawfiles
 from alaskit import (
     Waveform,
     emit_spectrogram_image,
@@ -149,9 +150,19 @@ class TestFeatureFile:
         track = _track()
         track.f0[2] = np.nan
         path = tmp_path / "nan.aftk"
-        write_feature_file(path, track)
+        rawfiles.write_container(path, b"AFTK", np.hstack([track.f0[:, None], track.mcep]))
         with pytest.raises(ValueError, match="non-finite"):
             read_feature_file(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", ["f0", "mcep"])
+    def test_writer_rejects_non_finite(self, tmp_path, bad, column):
+        track = _track()
+        getattr(track, column)[2] = bad
+        path = tmp_path / "bad.aftk"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_feature_file(path, track)
+        assert not path.exists()
 
 
 class TestLasFile:
@@ -168,9 +179,18 @@ class TestLasFile:
         las = np.zeros((4, 257))
         las[3, 100] = bad
         path = tmp_path / "bad_value.lask"
-        write_las_file(path, las, 80, 16000)
+        rawfiles.write_container(path, b"LASK", las)
         with pytest.raises(ValueError, match="non-finite"):
             read_las_file(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_writer_rejects_non_finite(self, tmp_path, bad):
+        las = np.zeros((4, 257))
+        las[3, 100] = bad
+        path = tmp_path / "bad_value.lask"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_las_file(path, las, 80, 16000)
+        assert not path.exists()
 
     @pytest.mark.parametrize("value", [1e39, -1e300])
     def test_value_beyond_float32_rejected(self, tmp_path, value):
