@@ -6,6 +6,7 @@ A log amplitude spectrum (LAS) matrix is a plain float64 ndarray of shape
 """
 
 import math
+import numbers
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -13,6 +14,15 @@ from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int if it is an int or a numpy integer, else a
+    ValueError naming ``name``: a float, even 320.0, is not taken as a
+    count or a rate."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -31,6 +41,8 @@ class AnalysisParams:
     log_floor: float = 1e-10
 
     def __post_init__(self):
+        for name in ("sample_rate", "frame_len", "frame_shift", "fft_size"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         if self.frame_len < 2:
@@ -62,6 +74,7 @@ class Waveform:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+        object.__setattr__(self, "sample_rate", _integer("sample_rate", self.sample_rate))
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         if self.samples.ndim != 1:
@@ -85,21 +98,24 @@ def num_frames(n_samples: int, frame_shift: int) -> int:
     return -(-n_samples // frame_shift)
 
 
-def _frame_grid(n: int, length: int, shift: int) -> np.ndarray:
-    """(n, length) sample indices of the frame grid: frame i starts at i*shift."""
-    return shift * np.arange(n)[:, None] + np.arange(length)
+def _frame_view(span: np.ndarray, length: int, shift: int, writeable: bool = False) -> np.ndarray:
+    """The frames of ``length`` samples starting every ``shift`` samples of
+    ``span`` that lie inside it, as a strided view (no copy); read-only
+    unless ``writeable``, which is safe only while length <= shift, where
+    no two frames share a sample."""
+    return np.lib.stride_tricks.sliding_window_view(span, length, writeable=writeable)[::shift]
 
 
 def _frames(samples: np.ndarray, n: int, length: int, shift: int) -> np.ndarray:
     """Exactly n >= 1 frames of ``length`` samples on the ``shift`` grid, the
     samples zero-padded or truncated to the (n-1)*shift + length it spans,
-    as a read-only strided view of that span (no copy per frame)."""
+    as a _frame_view of that span."""
     if n < 1:
         raise ValueError("empty input")
     span = np.zeros((n - 1) * shift + length)
     kept = min(span.size, samples.size)
     span[:kept] = samples[:kept]
-    return np.lib.stride_tricks.sliding_window_view(span, length)[::shift]
+    return _frame_view(span, length, shift)
 
 
 def _check_sample_rate(wave: Waveform, params: AnalysisParams) -> None:
@@ -160,7 +176,7 @@ def _warp_matrix(size: int, alpha: float) -> np.ndarray:
     past the last) minus alpha times T's column j.
     """
     idx = np.arange(size)
-    feedback = np.tril(alpha ** np.abs(idx[:, None] - idx))
+    feedback = np.tril((alpha ** idx)[np.abs(idx[:, None] - idx)])
     section = -alpha * feedback
     section[:, :-1] += feedback[:, 1:]
     columns = [np.eye(size)[0]]
@@ -186,8 +202,8 @@ def warp_cepstrum(m: np.ndarray, alpha: float) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim == 0 or m.shape[-1] == 0:
         raise ValueError("expected non-empty cepstral vectors")
-    if abs(alpha) >= 1.0:
-        raise ValueError("|alpha| must be < 1")
+    if not abs(alpha) < 1.0:  # false for NaN
+        raise ValueError(f"alpha must be finite with |alpha| < 1, got {alpha}")
     if alpha == 0.0:
         return m.copy()
     return m @ _warp_matrix(m.shape[-1], float(alpha)).T
@@ -215,22 +231,24 @@ def _las_magnitudes(las: np.ndarray, params: AnalysisParams) -> np.ndarray:
     return np.exp(las)
 
 
-def _overlap_add(grid: np.ndarray, window: np.ndarray):
-    """Least-squares inverse STFT on a frame grid, as a function of the
-    windowed inverse-FFT frames: overlap-add (one scatter-add) over the
-    squared-window sum. Samples covered below 1% of the peak level are left
-    unnormalized; dividing there would amplify edge samples by up to the
-    inverse squared window value. Each call returns a new signal."""
-    index = grid.ravel()
-    norm = np.bincount(index, np.tile(window * window, grid.shape[0]))
-    norm[norm <= 0.01 * norm.max()] = 1.0
+def _overlap_add(frames: np.ndarray, shift: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Overlap-add of (n, length) frames on the ``shift`` grid: the
+    (n-1)*shift + length samples to which frame i adds from sample i*shift,
+    written over ``out`` if given, else a new array.
 
-    def add(frames: np.ndarray) -> np.ndarray:
-        signal = np.bincount(index, frames.ravel())
-        signal /= norm
-        return signal
-
-    return add
+    The transpose of framing: the frames are cut into ceil(length/shift)
+    column pieces of at most ``shift`` samples, and piece k of every frame
+    is added at once through a writeable _frame_view of the samples from
+    k*shift, the last piece first. Each sample so sums its frames in
+    ascending frame order starting from 0.0, as a per-frame loop does.
+    """
+    n, length = frames.shape
+    out = np.empty((n - 1) * shift + length) if out is None else out
+    out.fill(0.0)
+    for start in reversed(range(0, length, shift)):
+        piece = frames[:, start : start + shift]
+        _frame_view(out[start:], piece.shape[1], shift, writeable=True)[:n] += piece
+    return out
 
 
 # Below this many frames griffin_lim runs inline. The two thread hand-offs
@@ -270,8 +288,10 @@ def griffin_lim(las: np.ndarray, params: AnalysisParams, iters: int = 60,
     taken on the signal before analysis: STFT(x) - c * STFT(x_prev) is
     STFT(x - c * x_prev). The start is deterministic: a linear phase placing
     each frame's energy at the window center. If the result peaks above 1
-    it is scaled down to unit peak. Every iteration runs in buffers
-    allocated once per call.
+    it is scaled down to unit peak. Analysis reads the frames as a
+    _frame_view of the signal, synthesis is _overlap_add over the
+    squared-window sum, and every iteration runs in buffers allocated once
+    per call.
 
     The per-frame work of an iteration (analysis, magnitude projection,
     inverse FFT and windowing) runs on two threads over two row blocks when
@@ -280,30 +300,31 @@ def griffin_lim(las: np.ndarray, params: AnalysisParams, iters: int = 60,
     same either way, so the output does not depend on the CPU count.
     """
     magnitudes = _las_magnitudes(las, params)
-    if iters < 1:
+    if _integer("iters", iters) < 1:
         raise ValueError("iters must be >= 1")
     if not 0.0 <= momentum <= 1.0:  # false for NaN
         raise ValueError(f"momentum must be in [0, 1], got {momentum}")
-    n, length, fft_size = magnitudes.shape[0], params.frame_len, params.fft_size
+    n, length, shift = magnitudes.shape[0], params.frame_len, params.frame_shift
     window = hann_window(length)
-    grid = _frame_grid(n, length, params.frame_shift)
-    overlap_add = _overlap_add(grid, window)
-    phase = -2.0 * np.pi * np.arange(params.num_bins) * (length // 2) / fft_size
+    norm = _overlap_add(np.broadcast_to(window * window, (n, length)), shift)
+    # samples covered below 1% of the peak stay unnormalized: dividing there
+    # would amplify edge samples by up to the inverse squared window value
+    norm[norm <= 0.01 * norm.max()] = 1.0
+    phase = -2.0 * np.pi * np.arange(params.num_bins) * (length // 2) / params.fft_size
     spectra = magnitudes * np.exp(1j * phase)
-    full = np.empty((n, fft_size))
-    frames = np.empty(grid.shape)  # contiguous, so overlap_add's ravel is a view
-    padded = np.zeros((n, fft_size))
+    full = np.empty((n, params.fft_size))
+    padded = np.zeros((n, params.fft_size))
     size = np.empty(magnitudes.shape)
+    signal, previous, estimate = np.empty((3, norm.size))
+    analysed = _frame_view(estimate, length, shift)
 
-    def per_frame(rows: slice, estimate: np.ndarray | None) -> None:
-        """For the frames in ``rows``: unless ``estimate`` is None, analyse it
-        and project the spectra onto the target magnitudes; then write the
-        windowed inverse FFTs to ``frames``."""
-        if estimate is not None:
+    def per_frame(rows: slice, analyse: bool) -> None:
+        """For the frames in ``rows``: if ``analyse``, analyse ``estimate`` and
+        project the spectra onto the target magnitudes; then write the
+        windowed inverse FFTs to the first frame_len columns of ``full``."""
+        if analyse:
             spectrum, scale = spectra[rows], size[rows]
-            # indices are in range; mode="clip" writes to out, "raise" buffers a copy
-            np.take(estimate, grid[rows], out=frames[rows], mode="clip")
-            np.multiply(frames[rows], window, out=padded[rows, :length])
+            np.multiply(analysed[rows], window, out=padded[rows, :length])
             np.fft.rfft(padded[rows], axis=1, out=spectrum)
             np.abs(spectrum, out=scale)
             if not scale.all():  # a zero bin keeps phasor 1, as np.angle's phase 0
@@ -311,29 +332,29 @@ def griffin_lim(las: np.ndarray, params: AnalysisParams, iters: int = 60,
                 spectrum[zero] = scale[zero] = 1.0
             np.divide(magnitudes[rows], scale, out=scale)
             spectrum *= scale  # magnitudes times the unit phasors spectrum / |spectrum|
-        np.fft.irfft(spectra[rows], n=fft_size, axis=1, out=full[rows])
-        np.multiply(full[rows, :length], window, out=frames[rows])
+        np.fft.irfft(spectra[rows], n=params.fft_size, axis=1, out=full[rows])
+        full[rows, :length] *= window
 
-    blocks = [slice(0, n)]
-    if n >= _THREAD_MIN_FRAMES and _worker_count() > 1:
-        blocks = [slice(0, n // 2), slice(n // 2, n)]
+    split = n >= _THREAD_MIN_FRAMES and _worker_count() > 1
+    blocks = [slice(0, n // 2), slice(n // 2, n)] if split else [slice(0, n)]
     step = momentum / (1.0 + momentum)
     with _thread_pool() if len(blocks) > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
 
-        def each_block(estimate: np.ndarray | None) -> None:
-            for _ in run(per_frame, blocks, repeat(estimate)):
+        def each_block(analyse: bool) -> None:
+            for _ in run(per_frame, blocks, repeat(analyse)):
                 pass  # reads every result, so a worker's exception is raised here
 
-        each_block(None)
-        previous = None
-        for _ in range(iters - 1):
-            signal = overlap_add(frames)
-            # the signal whose analysis sets the phase
-            estimate = signal if previous is None or not step else signal - step * previous
-            previous = signal
-            each_block(estimate)
-    signal = overlap_add(frames)
+        each_block(False)
+        for it in range(iters - 1):
+            signal, previous = _overlap_add(full[:, :length], shift, out=previous), signal
+            signal /= norm
+            # the signal whose analysis sets the phase; x - 0.0 is x, also for -0.0
+            term = np.multiply(previous, step, out=estimate) if it and step else 0.0
+            np.subtract(signal, term, out=estimate)
+            each_block(True)
+    signal = _overlap_add(full[:, :length], shift, out=previous)
+    signal /= norm
     return Waveform(signal / max(1.0, np.max(np.abs(signal))), params.sample_rate)
 
 

@@ -128,10 +128,11 @@ def _read_payload(path, magic: bytes):
         raise ValueError(f"truncated payload: {len(payload)} bytes, header implies {expected}")
     if len(payload) > expected:
         raise ValueError(f"payload size {len(payload)} inconsistent with header ({expected})")
-    rows = np.frombuffer(payload, dtype="<f4").reshape(n, dims).astype(np.float64)
+    rows = np.frombuffer(payload, dtype="<f4").reshape(n, dims)
+    # checked before the cast: casting a signalling NaN raises numpy's invalid flag
     if not np.all(np.isfinite(rows)):
         raise ValueError(f"non-finite values in the payload of {path}")
-    return rows, frame_shift, sample_rate
+    return rows.astype(np.float64), frame_shift, sample_rate
 
 
 def emit_spectrogram_image(las: np.ndarray, path) -> None:

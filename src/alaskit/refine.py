@@ -14,6 +14,7 @@ from .dsp import _check_las
 
 _MAGIC = b"ALRF"
 _VERSION = 1
+_RADIUS_MAX = 0xFFFFFFFF  # the header stores the context radius as a u32
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,8 +30,9 @@ class RefinerModel:
             raise ValueError("gain and bias must be 1-D arrays of equal length")
         if not (np.all(np.isfinite(self.gain)) and np.all(np.isfinite(self.bias))):
             raise ValueError("model parameters must be finite")
-        if self.context_radius < 0:
-            raise ValueError("context_radius must be >= 0")
+        if not 0 <= self.context_radius <= _RADIUS_MAX:
+            raise ValueError(f"context_radius must be in [0, {_RADIUS_MAX}], "
+                             f"got {self.context_radius}")
 
     @property
     def num_bins(self) -> int:

@@ -10,12 +10,12 @@ the scalar recursion.
 The library looks each source comb up in a cached table by its harmonic
 spacing; the float-modulo comb it replaced is kept below as its reference.
 
-The library frames every signal through one frame-grid helper and runs
-Griffin-Lim as one scatter-add synthesis and one phasor update per
-iteration. The hand-padded framing, the per-frame F0 search over its own
-padded buffer, and the per-frame overlap-add Griffin-Lim (with or without
-momentum) with its angle/exp phase round trip are kept below as their
-references.
+The library frames every signal as one strided view, overlap-adds by
+shifted blocks and runs Griffin-Lim with one phasor update per iteration.
+The hand-padded framing, the per-frame F0 search over its own padded
+buffer, the scatter-add (bincount) overlap-add over an index grid, and the
+per-frame overlap-add Griffin-Lim (with or without momentum) with its
+angle/exp phase round trip are kept below as their references.
 """
 
 import numpy as np
@@ -75,15 +75,21 @@ def excitation_spectrum_modulo(f0, params):
     return np.where(f0[..., None] == 0.0, 1.0, (bins > 0) & (bins % k0 == 0))
 
 
+def log_filter_frame(mcep_with_energy, params):
+    """Per-frame log filter spectrum: zero-pad to K, warp with alpha, mirror
+    and take the real part of the FFT."""
+    padded = np.zeros(params.num_bins)
+    padded[: len(mcep_with_energy)] = mcep_with_energy
+    cep = warp_cepstrum(padded, params.warp_alpha)
+    return np.fft.rfft(mirror_full_spectrum(cep, params.fft_size)).real
+
+
 def recover_alas_frame(f0, vuv, mcep_with_energy, params):
     """Per-frame ALAS: comb times filter spectrum, mirrored, circularly
     convolved with the window spectrum through FFTs, floored and logged."""
     k = params.num_bins
     excitation = excitation_spectrum_modulo(f0 if vuv else 0.0, params)
-    padded = np.zeros(k)
-    padded[: len(mcep_with_energy)] = mcep_with_energy
-    cep = warp_cepstrum(padded, params.warp_alpha)
-    envelope = np.exp(np.fft.rfft(mirror_full_spectrum(cep, params.fft_size)).real)
+    envelope = np.exp(log_filter_frame(mcep_with_energy, params))
     full = mirror_full_spectrum(excitation * envelope, params.fft_size)
     kernel = np.fft.ifftshift(window_spectrum(params))
     convolved = np.fft.irfft(np.fft.rfft(full) * np.fft.rfft(kernel), n=params.fft_size)
@@ -130,6 +136,16 @@ def estimate_f0_padded(samples, params):
         f0[i] = float(np.clip(fs / lag_f, F0_MIN, F0_MAX))
         vuv[i] = True
     return f0, vuv
+
+
+def overlap_add_bincount(frames, shift):
+    """Overlap-add of (n, length) frames with frame i starting at sample
+    i*shift, as one scatter-add over the (n, length) index grid: bincount
+    adds each sample's values in grid order, ascending frame by frame,
+    starting from 0.0."""
+    n, length = frames.shape
+    grid = shift * np.arange(n)[:, None] + np.arange(length)
+    return np.bincount(grid.ravel(), np.ravel(frames), minlength=(n - 1) * shift + length)
 
 
 def overlap_add_loop(spectra, params, window):

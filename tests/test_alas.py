@@ -19,6 +19,7 @@ from alaskit import (
     extract_features,
     extract_las,
     filter_spectrum,
+    mcep_analysis,
     mirror_full_spectrum,
     recover_alas,
     warp_cepstrum,
@@ -112,6 +113,67 @@ def test_excitation_result_is_a_fresh_array(params):
     assert np.all(excitation_spectrum(0.0, params) == 1.0)
 
 
+# Properties of the batched linear maps, against the per-frame oracles.
+# Errors are relative to the larger of 1 and the inputs' scale: log(exp(v))
+# rounds by an absolute ulp of 1 near v = 0. Measured at most 3e-15 for
+# linearity, 8e-16 against the oracles and 1.1e-15 for the inverse pair.
+MAP_TOL = 1e-13
+MAP_ALPHAS = [0.0, 0.42, 0.55, 0.7]
+# the longest cepstra whose warped image fits in K = 257 coefficients:
+# beyond 20 at alpha 0.7 the truncated tail shows (4e-5 at 41)
+FITTING_LENGTH = {0.0: 41, 0.42: 41, 0.55: 41, 0.7: 20}
+
+
+def _scaled_error(got, want, *scales):
+    return np.max(np.abs(got - want)) / max(1.0, *scales)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.sampled_from(MAP_ALPHAS), scale=st.sampled_from([1e-6, 1.0, 50.0]),
+       a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_mcep_analysis_is_linear(alpha, scale, a, b, seed):
+    params = AnalysisParams(warp_alpha=alpha)
+    x, y = np.random.default_rng(seed).standard_normal((2, params.num_bins)) * scale
+    frames = np.stack([x, y, a * x + b * y])
+    rows = mcep_analysis(frames, params)
+    for row, frame in zip(rows, frames):
+        oracle = oracles.mcep_frame(frame, params)
+        assert _scaled_error(row, oracle, np.max(np.abs(frame))) <= MAP_TOL
+    combined = a * rows[0] + b * rows[1]
+    assert _scaled_error(rows[2], combined, np.max(np.abs(frames[2]))) <= MAP_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.sampled_from(MAP_ALPHAS), scale=st.sampled_from([1e-6, 1.0, 3.0]),
+       length=st.integers(1, 41), a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_log_filter_map_is_linear(alpha, scale, length, a, b, seed):
+    params = AnalysisParams(warp_alpha=alpha)
+    c1, c2 = np.random.default_rng(seed).standard_normal((2, length)) * scale
+    coeffs = np.stack([c1, c2, a * c1 + b * c2])
+    logs = np.log(filter_spectrum(coeffs, params))
+    for log, c in zip(logs, coeffs):
+        oracle = oracles.log_filter_frame(c, params)
+        assert _scaled_error(log, oracle, np.max(np.abs(oracle))) <= MAP_TOL
+    combined = a * logs[0] + b * logs[1]
+    assert _scaled_error(logs[2], combined, np.max(np.abs(combined))) <= MAP_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.sampled_from(MAP_ALPHAS), scale=st.sampled_from([1e-6, 1.0, 3.0]),
+       data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_analysis_inverts_synthesis_on_fitting_cepstra(alpha, scale, data, seed):
+    params = AnalysisParams(warp_alpha=alpha)
+    length = data.draw(st.integers(1, FITTING_LENGTH[alpha]))
+    coeffs = np.zeros(41)
+    coeffs[:length] = np.random.default_rng(seed).standard_normal(length) * scale
+    log = np.log(filter_spectrum(coeffs, params))
+    back = mcep_analysis(log, params)
+    assert _scaled_error(back, coeffs, np.max(np.abs(log))) <= MAP_TOL
+    per_frame = oracles.mcep_frame(oracles.log_filter_frame(coeffs, params), params)
+    assert _scaled_error(per_frame, coeffs, np.max(np.abs(log))) <= MAP_TOL
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.42, 0.55])
 def test_log_filter_map_is_warp_of_unit_vectors(alpha):
     params = AnalysisParams(warp_alpha=alpha)
@@ -153,6 +215,11 @@ class TestWarpCepstrum:
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
             warp_cepstrum(np.zeros(8), 1.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            warp_cepstrum(np.ones(8), alpha)
 
     @pytest.mark.parametrize("alpha", [0.42, -0.42, 0.7])
     @pytest.mark.parametrize("nonzero", [41, 257])

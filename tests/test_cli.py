@@ -278,6 +278,21 @@ def test_refine_fit_rejects_mixed_geometry(tmp_path):
     assert not (tmp_path / "m.alrf").exists()
 
 
+@pytest.mark.parametrize("radius, code", [(4294967296, 2), (-1, 2), (4294967295, 0)])
+def test_refine_fit_context_radius_fits_the_model_header(tmp_path, radius, code):
+    # .alrf stores the radius as a u32; past it nothing may be written
+    path = tmp_path / "x.lask"
+    write_las_file(path, np.zeros((5, 257)), 80, 16000)
+    manifest = tmp_path / "pairs.txt"
+    manifest.write_text(f"{path}\t{path}\n")
+    model = tmp_path / "m.alrf"
+    argv = ["refine-fit", str(manifest), "-o", str(model), "--context-radius", str(radius)]
+    assert cli.main(argv) == code
+    assert model.exists() == (code == 0)
+    if code == 0:
+        assert alaskit.load_refiner(model).context_radius == radius
+
+
 @pytest.mark.parametrize("rate, code", [(400, 2), (499, 2), (500, 0)])
 def test_analyze_needs_sample_rate_of_f0_max(tmp_path, rate, code):
     path = tmp_path / "low.wav"

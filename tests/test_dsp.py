@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,9 +29,9 @@ from alaskit import (
     mirror_full_spectrum,
 )
 from alaskit import dsp
-from alaskit.dsp import _frame_grid, _frames, _overlap_add
+from alaskit.dsp import _frames, _overlap_add
 
-# Griffin-Lim against the per-frame, angle/exp oracle: the scatter-add adds
+# Griffin-Lim against the per-frame, angle/exp oracle: the overlap-add adds
 # in the loop's order, so one iteration is bit-identical; the phasor update
 # rounds differently from angle/exp, and the library takes the momentum
 # step on the signal where the oracle takes it on the spectra (measured at
@@ -103,14 +104,47 @@ def test_synthesis_inverts_analysis(geometry, size, seed):
     n = frames.shape[0]
     spectra = np.fft.rfft(frames * window, n=fft_size, axis=1)
     windowed = np.fft.irfft(spectra, n=fft_size, axis=1)[:, :length] * window
-    out = _overlap_add(_frame_grid(n, length, shift), window)(windowed)
+    out = _overlap_add(windowed, shift)
     norm = np.zeros(out.size)
     for i in range(n):
         norm[i * shift : i * shift + length] += window * window
     covered = norm > 0.01 * norm.max()
     padded = np.zeros(out.size)
     padded[:size] = samples
-    np.testing.assert_allclose(out[covered], padded[covered], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out[covered] / norm[covered], padded[covered], rtol=0, atol=1e-12)
+
+
+OVERLAP_GEOMETRIES = [(320, 80), (320, 96), (320, 320), (256, 100), (64, 7)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(geometry=st.sampled_from(OVERLAP_GEOMETRIES), n=st.integers(1, 60),
+       scale=st.sampled_from([1.0, 1e-300, 1e300]), zeros=st.sampled_from([0.0, 0.3, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_overlap_add_matches_scatter_add(geometry, n, scale, zeros, seed):
+    """The shifted-block overlap-add equals the bincount scatter-add bit for
+    bit, also into a reused buffer holding stale values. A share of the
+    values is -0.0: 0.0 + -0.0 is 0.0, so a sum that skipped the 0.0 start
+    would differ in the sign bit."""
+    length, shift = geometry
+    rng = np.random.default_rng(seed)
+    frames = scale * rng.standard_normal((n, length))
+    frames[rng.random((n, length)) < zeros] = -0.0
+    want = oracles.overlap_add_bincount(frames, shift)
+    got = _overlap_add(frames, shift)
+    assert got.tobytes() == want.tobytes()
+    stale = np.full(want.size, np.nan)
+    assert _overlap_add(frames, shift, out=stale) is stale
+    assert stale.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("geometry", OVERLAP_GEOMETRIES)
+@pytest.mark.parametrize("n", [1, 127, 128, 333, 1600])
+def test_overlap_add_matches_scatter_add_at_length(geometry, n):
+    length, shift = geometry
+    frames = np.random.default_rng(n).standard_normal((n, length))
+    want = oracles.overlap_add_bincount(frames, shift)
+    assert _overlap_add(frames, shift).tobytes() == want.tobytes()
 
 
 class TestHannWindow:
@@ -252,6 +286,28 @@ class TestGriffinLim:
     def test_bad_iteration_count(self, params):
         with pytest.raises(ValueError):
             griffin_lim(np.zeros((3, params.num_bins)), params, iters=0)
+
+    def test_non_integer_iteration_count(self, params):
+        las = np.zeros((3, params.num_bins))
+        with pytest.raises(ValueError, match="iters must be an integer"):
+            griffin_lim(las, params, iters=2.5)
+        assert griffin_lim(las, params, iters=np.int64(2)).samples.size > 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_peak(self, params, monkeypatch, workers):
+        # the buffers griffin_lim needs at 1600 frames x 257 bins come to
+        # about 31.5 MB (the spectra, the (frames, fft_size) FFT buffers and
+        # a few signals); an (n, frame_len) index grid or frame copy adds 4 MB each
+        monkeypatch.setattr(dsp, "_worker_count", lambda: workers)
+        rng = np.random.default_rng(3)
+        las = np.log(rng.uniform(1e-3, 1.0, (1600, params.num_bins)))
+        tracemalloc.start()
+        try:
+            griffin_lim(las, params, iters=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 33e6
 
     @pytest.mark.parametrize("momentum", [math.nan, -0.1, 1.5])
     def test_bad_momentum(self, params, momentum):
@@ -501,3 +557,29 @@ class TestAnalysisParams:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             AnalysisParams(**kwargs)
+
+    @pytest.mark.parametrize("field", ["sample_rate", "frame_len", "frame_shift", "fft_size"])
+    @pytest.mark.parametrize("kind", [float, str, bool])
+    def test_non_integer_geometry_rejected(self, field, kind):
+        value = kind(getattr(AnalysisParams(), field))
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            AnalysisParams(**{field: value})
+
+    def test_numpy_integers_accepted(self, params, sine_1khz):
+        geometry = dict(sample_rate=np.int32(16000), frame_len=np.int64(320),
+                        frame_shift=np.uint16(80), fft_size=np.int64(512))
+        numpy_params = AnalysisParams(**geometry)
+        assert numpy_params == params
+        assert all(type(getattr(numpy_params, field)) is int for field in geometry)
+        assert np.array_equal(extract_las(sine_1khz, numpy_params), extract_las(sine_1khz, params))
+
+
+class TestWaveform:
+    @pytest.mark.parametrize("rate", [16000.5, 16000.0, "16000"])
+    def test_non_integer_sample_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="sample_rate must be an integer"):
+            Waveform(np.zeros(10), rate)
+
+    def test_numpy_integer_sample_rate_accepted(self):
+        wave = Waveform(np.zeros(10), np.uint16(8000))
+        assert wave.sample_rate == 8000 and type(wave.sample_rate) is int

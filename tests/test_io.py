@@ -69,6 +69,13 @@ class TestWav:
             write_wav(path, Waveform(np.zeros(10), 2**31))
         assert not path.exists()
 
+    def test_fractional_sample_rate_never_reaches_the_header(self, tmp_path):
+        # a WAV header holds whole hertz: 16000.5 would be written as 16000
+        path = tmp_path / "half.wav"
+        with pytest.raises(ValueError, match="sample_rate must be an integer"):
+            write_wav(path, Waveform(np.zeros(10), 16000.5))
+        assert not path.exists()
+
     def test_chunk_size_past_end_of_file(self, tmp_path):
         path = tmp_path / "long_fmt.wav"
         write_wav(path, Waveform(np.zeros(100), 16000))
@@ -182,6 +189,17 @@ class TestLasFile:
         rawfiles.write_container(path, b"LASK", las)
         with pytest.raises(ValueError, match="non-finite"):
             read_las_file(path)
+
+    def test_signalling_nan_payload_rejected_without_warning(self, tmp_path):
+        # casting a float32 signalling NaN to float64 raises numpy's invalid flag
+        payload = np.zeros((4, 257), dtype="<f4")
+        payload.view("<u4")[2, 9] = 0x7F800001
+        path = tmp_path / "snan.lask"
+        rawfiles.write_container(path, b"LASK", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                read_las_file(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_writer_rejects_non_finite(self, tmp_path, bad):

@@ -39,6 +39,14 @@ class TestFitRefiner:
         with pytest.raises(ValueError, match="no training pairs"):
             fit_refiner([])
 
+    @pytest.mark.parametrize("radius", [-1, 2**32])  # outside the .alrf header's u32
+    def test_context_radius_out_of_range(self, radius):
+        alas = _random_pair(32, bins=8)
+        with pytest.raises(ValueError, match="context_radius must be in"):
+            fit_refiner([(alas, alas)], context_radius=radius)
+        with pytest.raises(ValueError, match="context_radius must be in"):
+            RefinerModel(gain=np.ones(8), bias=np.zeros(8), context_radius=radius)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             fit_refiner([(np.zeros((4, 8)), np.zeros((5, 8)))])
