@@ -15,6 +15,7 @@ from .dsp import (
     Waveform,
     _check_sample_rate,
     _frames,
+    _integer,
     extract_las,
     num_frames,
     warp_cepstrum,
@@ -33,6 +34,7 @@ class FeatureTrack:
 
     ``mcep`` has shape (N, order+1) with the energy coefficient in column 0.
     The voicing flag and F0 are consistent: f0 > 0 exactly on voiced frames.
+    ``frame_shift`` and ``sample_rate`` are integers, stored as ``int``.
     """
 
     f0: np.ndarray
@@ -46,6 +48,10 @@ class FeatureTrack:
             raise ValueError("feature track must be non-empty")
         if self.vuv.shape != self.f0.shape or self.mcep.shape[0] != self.f0.size:
             raise ValueError("inconsistent feature array lengths")
+        if not np.array_equal(self.vuv, self.f0 > 0):
+            raise ValueError("vuv must equal f0 > 0: voiced exactly where F0 is positive")
+        for name in ("frame_shift", "sample_rate"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
 
     def __len__(self):
         return self.f0.size

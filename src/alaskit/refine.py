@@ -5,15 +5,13 @@ ordinary least squares on paired (recovered, natural) matrices, with an
 optional moving-average context window over frames.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import _check_las
+from .dsp import _check_las, _integer
+from .io import _REFINER_MAGIC, _payload_rows, _read_container, _write_container
 
-_MAGIC = b"ALRF"
-_VERSION = 1
 _RADIUS_MAX = 0xFFFFFFFF  # the header stores the context radius as a u32
 
 
@@ -26,17 +24,23 @@ class RefinerModel:
     context_radius: int = 0
 
     def __post_init__(self):
-        if self.gain.shape != self.bias.shape or self.gain.ndim != 1:
-            raise ValueError("gain and bias must be 1-D arrays of equal length")
+        if self.gain.shape != self.bias.shape or self.gain.ndim != 1 or self.gain.size == 0:
+            raise ValueError("gain and bias must be non-empty 1-D arrays of equal length")
         if not (np.all(np.isfinite(self.gain)) and np.all(np.isfinite(self.bias))):
             raise ValueError("model parameters must be finite")
-        if not 0 <= self.context_radius <= _RADIUS_MAX:
-            raise ValueError(f"context_radius must be in [0, {_RADIUS_MAX}], "
-                             f"got {self.context_radius}")
+        object.__setattr__(self, "context_radius", _context_radius(self.context_radius))
 
     @property
     def num_bins(self) -> int:
         return self.gain.size
+
+
+def _context_radius(value) -> int:
+    """``value`` as an int in [0, _RADIUS_MAX], else a ValueError."""
+    radius = _integer("context_radius", value)
+    if not 0 <= radius <= _RADIUS_MAX:
+        raise ValueError(f"context_radius must be in [0, {_RADIUS_MAX}], got {radius}")
+    return radius
 
 
 def fit_refiner(pairs, context_radius: int = 0) -> RefinerModel:
@@ -51,6 +55,7 @@ def fit_refiner(pairs, context_radius: int = 0) -> RefinerModel:
     gain 1 and the mean residual as bias. Statistics are accumulated pair
     by pair, in two passes: means, then centred moments.
     """
+    context_radius = _context_radius(context_radius)
     pairs = list(pairs)
     if not pairs:
         raise ValueError("no training pairs")
@@ -114,28 +119,17 @@ def _moving_average(values: np.ndarray, radius: int) -> np.ndarray:
 
 
 def save_refiner(model: RefinerModel, path) -> None:
-    """Write the model in the versioned binary layout (magic ALRF)."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIII", _MAGIC, _VERSION, model.num_bins, model.context_radius))
-        fh.write(np.asarray(model.gain, dtype="<f8").tobytes())
-        fh.write(np.asarray(model.bias, dtype="<f8").tobytes())
+    """Write the model as a container (magic ALRF) whose header fields are
+    the bin count and the context radius, and whose payload is the gains,
+    then the biases, as float64."""
+    _write_container(path, _REFINER_MAGIC,
+                     dict(bins=model.num_bins, context_radius=model.context_radius),
+                     np.array([model.gain, model.bias], dtype="<f8"))
 
 
 def load_refiner(path) -> RefinerModel:
-    """Read a model written by :func:`save_refiner`, validating the header."""
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) < 16:
-            raise ValueError("truncated model file")
-        magic, version, bins, radius = struct.unpack("<4sIII", header)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r} (expected {_MAGIC!r})")
-        if version != _VERSION:
-            raise ValueError(f"unsupported model version {version}")
-        payload = fh.read()
-    expected = 2 * bins * 8
-    if len(payload) != expected:
-        raise ValueError(f"model payload is {len(payload)} bytes, expected {expected}")
-    gain = np.frombuffer(payload[: bins * 8], dtype="<f8").copy()
-    bias = np.frombuffer(payload[bins * 8 :], dtype="<f8").copy()
+    """Read a model written by :func:`save_refiner`, with the checks every
+    container reader makes."""
+    (bins, radius), payload = _read_container(path, _REFINER_MAGIC, 2)
+    gain, bias = _payload_rows(path, payload, 2, bins, "<f8")
     return RefinerModel(gain=gain, bias=bias, context_radius=radius)

@@ -194,6 +194,17 @@ def test_refine_apply_overflowing_model_exits_two(tmp_path, gain):
     assert not out.exists()
 
 
+def test_refine_apply_zero_bin_model_names_the_model(tmp_path, capsys):
+    las = tmp_path / "in.lask"
+    write_las_file(las, np.zeros((5, 257)), 80, 16000)
+    model = tmp_path / "empty.alrf"
+    rawfiles.write_refiner(model, [], [])
+    out = tmp_path / "out.lask"
+    assert cli.main(["refine-apply", str(model), str(las), "-o", str(out)]) == 2
+    assert f"{model} holds 2 rows of 0 values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_recover_huge_mcep_exits_two(tmp_path):
     mcep = np.zeros((5, 41))
     mcep[1, 3] = 1e30

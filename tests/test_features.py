@@ -11,6 +11,7 @@ from alaskit import (
     Waveform,
     estimate_f0,
     extract_features,
+    FeatureTrack,
     extract_las,
     filter_spectrum,
     mcep_analysis,
@@ -166,3 +167,29 @@ class TestExtractFeatures:
     def test_sample_rate_mismatch_rejected(self, params):
         with pytest.raises(ValueError, match="8000 Hz.*16000 Hz"):
             extract_features(_sine(200.0, 0.2, 8000), params)
+
+
+class TestFeatureTrack:
+    def _track(self, **changes):
+        fields = dict(f0=np.array([0.0, 120.0, 0.0]), vuv=np.array([False, True, False]),
+                      mcep=np.zeros((3, 41)), frame_shift=80, sample_rate=16000)
+        return FeatureTrack(**{**fields, **changes})
+
+    @pytest.mark.parametrize("name, value", [("frame_shift", 80.5), ("frame_shift", 80.0),
+                                             ("sample_rate", 16000.0)])
+    def test_geometry_must_be_an_integer(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            self._track(**{name: value})
+
+    def test_numpy_integers_stored_as_int(self):
+        track = self._track(frame_shift=np.int32(80), sample_rate=np.uint64(16000))
+        assert type(track.frame_shift) is int and type(track.sample_rate) is int
+        assert (track.frame_shift, track.sample_rate) == (80, 16000)
+
+    @pytest.mark.parametrize("f0, vuv", [
+        ([0.0, 0.0, 0.0], [True, True, True]),  # voiced frames without an F0
+        ([0.0, 120.0, 0.0], [False, False, False]),  # an F0 on an unvoiced frame
+    ])
+    def test_vuv_must_match_positive_f0(self, f0, vuv):
+        with pytest.raises(ValueError, match="vuv must equal f0 > 0"):
+            self._track(f0=np.array(f0), vuv=np.array(vuv))

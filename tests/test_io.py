@@ -1,6 +1,8 @@
 """Tests for WAV, feature-file, LAS-file and PGM output round trips."""
 
+import dataclasses
 import struct
+import types
 import warnings
 import wave as wave_module
 
@@ -14,11 +16,13 @@ from alaskit import (
     read_feature_file,
     read_las_file,
     read_wav,
+    save_refiner,
     write_feature_file,
     write_las_file,
     write_wav,
 )
 from alaskit.features import FeatureTrack
+from alaskit.refine import RefinerModel
 
 
 class TestWav:
@@ -248,6 +252,65 @@ class TestLasFile:
         path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
         with pytest.raises(ValueError, match="inconsistent"):
             read_las_file(path)
+
+
+class TestContainerCodec:
+    """All three containers go through one writer: the bytes match the
+    byte-by-byte builders, and a header field outside u32 is refused before
+    the file opens."""
+
+    @pytest.mark.parametrize("frames", [1, 6])
+    def test_feature_file_bytes(self, tmp_path, frames):
+        track = _track(frames, seed=40)
+        write_feature_file(tmp_path / "lib.aftk", track)
+        rows = np.hstack([track.f0[:, None], track.mcep])
+        rawfiles.write_container(tmp_path / "raw.aftk", b"AFTK", rows)
+        assert (tmp_path / "lib.aftk").read_bytes() == (tmp_path / "raw.aftk").read_bytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 257)])
+    def test_las_file_bytes(self, tmp_path, shape):
+        las = np.random.default_rng(41).standard_normal(shape)
+        write_las_file(tmp_path / "lib.lask", las, 96, 22050)
+        rawfiles.write_container(tmp_path / "raw.lask", b"LASK", las, 96, 22050)
+        assert (tmp_path / "lib.lask").read_bytes() == (tmp_path / "raw.lask").read_bytes()
+
+    @pytest.mark.parametrize("radius", [0, 2**32 - 1])
+    @pytest.mark.parametrize("bins", [1, 257])
+    def test_refiner_file_bytes(self, tmp_path, bins, radius):
+        rng = np.random.default_rng(42)
+        model = RefinerModel(gain=rng.standard_normal(bins), bias=rng.standard_normal(bins),
+                             context_radius=radius)
+        save_refiner(model, tmp_path / "lib.alrf")
+        rawfiles.write_refiner(tmp_path / "raw.alrf", model.gain, model.bias, radius)
+        assert (tmp_path / "lib.alrf").read_bytes() == (tmp_path / "raw.alrf").read_bytes()
+
+    @staticmethod
+    def _write(kind, path, value):
+        if kind == "lask":
+            write_las_file(path, np.zeros((2, 3)), value, 16000)
+        elif kind == "lask-rate":
+            write_las_file(path, np.zeros((2, 3)), 80, value)
+        else:  # a model that skips RefinerModel's own radius check
+            save_refiner(types.SimpleNamespace(gain=np.ones(3), bias=np.zeros(3), num_bins=3,
+                                               context_radius=value), path)
+
+    @pytest.mark.parametrize("existing", [None, b"earlier contents"])
+    @pytest.mark.parametrize("value", [2**32, -1])
+    @pytest.mark.parametrize("kind", ["lask", "lask-rate", "alrf"])
+    def test_header_field_outside_u32_leaves_the_path_alone(self, tmp_path, kind, value,
+                                                            existing):
+        path = tmp_path / "out.bin"
+        if existing is not None:
+            path.write_bytes(existing)
+        with pytest.raises(ValueError, match=f"header fields must be integers.*={value}"):
+            self._write(kind, path, value)
+        assert (path.read_bytes() if path.exists() else None) == existing
+
+    def test_negative_frame_shift_in_feature_file(self, tmp_path):
+        path = tmp_path / "neg.aftk"
+        with pytest.raises(ValueError, match="frame_shift=-1"):
+            write_feature_file(path, dataclasses.replace(_track(), frame_shift=-1))
+        assert not path.exists()
 
 
 class TestSpectrogramImage:

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import rawfiles
 from alaskit import RefinerModel, apply_refiner, fit_refiner, load_refiner, save_refiner
 
 
@@ -46,6 +47,23 @@ class TestFitRefiner:
             fit_refiner([(alas, alas)], context_radius=radius)
         with pytest.raises(ValueError, match="context_radius must be in"):
             RefinerModel(gain=np.ones(8), bias=np.zeros(8), context_radius=radius)
+
+    @pytest.mark.parametrize("radius", [1.5, 2.0, "2"])
+    def test_context_radius_must_be_an_integer(self, radius):
+        # a fractional radius cannot index the frames that the smoothing averages
+        alas = _random_pair(33, bins=8)
+        with pytest.raises(ValueError, match="context_radius must be an integer"):
+            fit_refiner([(alas, alas)], context_radius=radius)
+        with pytest.raises(ValueError, match="context_radius must be an integer"):
+            RefinerModel(gain=np.ones(8), bias=np.zeros(8), context_radius=radius)
+
+    def test_numpy_integer_radius_stored_as_int(self):
+        model = RefinerModel(gain=np.ones(8), bias=np.zeros(8), context_radius=np.uint32(2))
+        assert type(model.context_radius) is int and model.context_radius == 2
+
+    def test_model_needs_at_least_one_bin(self):
+        with pytest.raises(ValueError, match="non-empty 1-D arrays"):
+            RefinerModel(gain=np.ones(0), bias=np.zeros(0))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
@@ -164,4 +182,27 @@ class TestRefinerProperties:
         path = tmp_path / "bogus.alrf"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(ValueError, match="bad magic"):
+            load_refiner(path)
+
+    @pytest.mark.parametrize("damage, message", [
+        ("no bins", "both must be positive"),
+        ("nan gain", "non-finite"),
+        ("truncated header", "truncated header"),
+        ("truncated payload", "truncated payload"),
+        ("oversized payload", "inconsistent with header"),
+        ("version 2", "unsupported version 2"),
+    ])
+    def test_load_rejects_like_every_container(self, tmp_path, damage, message):
+        path = tmp_path / "damaged.alrf"
+        gain, bias = np.full(4, 1.5), np.zeros(4)
+        if damage == "no bins":
+            gain = bias = []
+        if damage == "nan gain":
+            gain[2] = np.nan
+        rawfiles.write_refiner(path, gain, bias, version=2 if damage == "version 2" else 1)
+        data = path.read_bytes()
+        cut = {"truncated header": data[:12], "truncated payload": data[:-8],
+               "oversized payload": data + bytes(8)}
+        path.write_bytes(cut.get(damage, data))
+        with pytest.raises(ValueError, match=message):
             load_refiner(path)
