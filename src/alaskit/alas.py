@@ -116,7 +116,7 @@ def recover_alas(track: FeatureTrack, params: AnalysisParams) -> np.ndarray:
     if (track.frame_shift, track.sample_rate) != (params.frame_shift, params.sample_rate):
         raise ValueError(f"track geometry {track.frame_shift}/{track.sample_rate} (frame shift/"
                          f"sample rate) differs from params {params.frame_shift}/{params.sample_rate}")
-    excitation = excitation_spectrum(np.where(track.vuv, track.f0, 0.0), params)
+    excitation = excitation_spectrum(track.f0, params)
     source_filter = excitation * filter_spectrum(track.mcep, params)
     with np.errstate(over="ignore", invalid="ignore"):
         convolved = source_filter @ _window_convolution_map(params)

@@ -1,8 +1,8 @@
 """Acoustic feature extraction: F0 with voicing decision, and mel-cepstra.
 
-One frame carries F0, a voiced/unvoiced flag, an energy coefficient and 40
-mel-cepstral coefficients, extracted on the same frame grid as the log
-amplitude spectra.
+One frame carries F0 (0 on unvoiced frames, so voicing is f0 > 0), an
+energy coefficient and 40 mel-cepstral coefficients, extracted on the same
+frame grid as the log amplitude spectra.
 """
 
 from dataclasses import dataclass
@@ -32,26 +32,38 @@ MCEP_ORDER = 40
 class FeatureTrack:
     """Frame-synchronous feature arrays.
 
-    ``mcep`` has shape (N, order+1) with the energy coefficient in column 0.
-    The voicing flag and F0 are consistent: f0 > 0 exactly on voiced frames.
+    ``f0`` is a non-empty 1-D array of finite, nonnegative F0 values in Hz;
+    a frame is voiced exactly where f0 > 0 (see :attr:`vuv`). ``mcep`` has
+    shape (N, 41): the energy coefficient in column 0, then 40 warped
+    cepstral coefficients, all finite. Both are stored as float64 arrays;
     ``frame_shift`` and ``sample_rate`` are integers, stored as ``int``.
     """
 
     f0: np.ndarray
-    vuv: np.ndarray
     mcep: np.ndarray
     frame_shift: int
     sample_rate: int
 
     def __post_init__(self):
-        if self.f0.ndim != 1 or self.f0.size == 0:
-            raise ValueError("feature track must be non-empty")
-        if self.vuv.shape != self.f0.shape or self.mcep.shape[0] != self.f0.size:
-            raise ValueError("inconsistent feature array lengths")
-        if not np.array_equal(self.vuv, self.f0 > 0):
-            raise ValueError("vuv must equal f0 > 0: voiced exactly where F0 is positive")
+        for name in ("f0", "mcep"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         for name in ("frame_shift", "sample_rate"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        n, width = self.f0.size, MCEP_ORDER + 1
+        if self.f0.ndim != 1 or n == 0:
+            raise ValueError("f0 must be a non-empty 1-D array")
+        if not np.all(np.isfinite(self.f0) & (self.f0 >= 0.0)):
+            raise ValueError("f0 must be finite and nonnegative (0 marks an unvoiced frame)")
+        if self.mcep.shape != (n, width):
+            raise ValueError(f"mcep must be {n} frames x {width} mel-cepstra, "
+                             f"got shape {self.mcep.shape}")
+        if not np.all(np.isfinite(self.mcep)):
+            raise ValueError("mcep must be finite")
+
+    @property
+    def vuv(self) -> np.ndarray:
+        """Voicing flags, True exactly where f0 > 0."""
+        return self.f0 > 0
 
     def __len__(self):
         return self.f0.size
@@ -129,33 +141,30 @@ def _cepstral_analysis_map(params: AnalysisParams) -> np.ndarray:
     return warp_cepstrum(cepstra, -params.warp_alpha)
 
 
-def mcep_analysis(las_frame: np.ndarray, params: AnalysisParams, order: int = MCEP_ORDER) -> np.ndarray:
+def mcep_analysis(las_frame: np.ndarray, params: AnalysisParams) -> np.ndarray:
     """Warped cepstral coefficients (energy first) of log spectrum frames.
 
     Inverse of the synthesis path: each mirrored log spectrum (last axis)
     is inverse Fourier transformed to a length-K cepstrum, warped with
-    -alpha, and truncated to order+1 coefficients. Leading axes are batch
-    axes.
+    -alpha, and truncated to MCEP_ORDER+1 = 41 coefficients, which needs
+    K > MCEP_ORDER bins. Leading axes are batch axes.
     """
     las_frame = np.asarray(las_frame, dtype=np.float64)
     k = params.num_bins
     if las_frame.ndim == 0 or las_frame.shape[-1] != k:
         raise ValueError(f"expected length-{k} log spectra, got {las_frame.shape}")
-    if order < 1 or order + 1 > k:
-        raise ValueError("order must be in [1, num_bins-1]")
-    return las_frame @ _cepstral_analysis_map(params)[:, : order + 1]
+    if k <= MCEP_ORDER:
+        raise ValueError(f"{MCEP_ORDER + 1} mel-cepstra need at least {MCEP_ORDER + 1} spectral "
+                         f"bins, got {k} (fft_size {params.fft_size})")
+    return las_frame @ _cepstral_analysis_map(params)[:, : MCEP_ORDER + 1]
 
 
-def extract_features(wave: Waveform, params: AnalysisParams, order: int = MCEP_ORDER) -> FeatureTrack:
-    """Full acoustic feature track: F0/voicing plus per-frame mel-cepstra."""
-    return _track_from_las(wave, extract_las(wave, params), params, order)
+def extract_features(wave: Waveform, params: AnalysisParams) -> FeatureTrack:
+    """Full acoustic feature track: F0 plus per-frame mel-cepstra."""
+    return _track_from_las(wave, extract_las(wave, params), params)
 
 
-def _track_from_las(wave: Waveform, las: np.ndarray, params: AnalysisParams,
-                    order: int = MCEP_ORDER) -> FeatureTrack:
+def _track_from_las(wave: Waveform, las: np.ndarray, params: AnalysisParams) -> FeatureTrack:
     """extract_features for a wave whose extract_las is already computed."""
-    f0, vuv = estimate_f0(wave, params)
-    mcep = mcep_analysis(las, params, order)
-    return FeatureTrack(
-        f0=f0, vuv=vuv, mcep=mcep, frame_shift=params.frame_shift, sample_rate=params.sample_rate
-    )
+    return FeatureTrack(f0=estimate_f0(wave, params)[0], mcep=mcep_analysis(las, params),
+                        frame_shift=params.frame_shift, sample_rate=params.sample_rate)

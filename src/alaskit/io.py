@@ -15,10 +15,10 @@ import wave as wave_module
 import numpy as np
 
 from .dsp import Waveform, _check_las
-from .features import FeatureTrack
+from .features import MCEP_ORDER, FeatureTrack
 
 FEATURE_MAGIC = b"AFTK"
-FEATURE_DIMS = 42
+FEATURE_DIMS = MCEP_ORDER + 2  # F0, then the energy and mel-cepstral coefficients
 LAS_MAGIC = b"LASK"
 _REFINER_MAGIC = b"ALRF"
 _VERSION = 1
@@ -57,11 +57,6 @@ def write_wav(path, wave: Waveform) -> None:
 
 
 def write_feature_file(path, track: FeatureTrack) -> None:
-    if track.mcep.shape[1] != FEATURE_DIMS - 1:
-        raise ValueError(
-            f"feature file stores {FEATURE_DIMS - 1} coefficients per frame, "
-            f"got {track.mcep.shape[1]}"
-        )
     payload = _float32_rows(np.hstack([track.f0[:, None], track.mcep]))
     _write_container(path, FEATURE_MAGIC, dict(frames=len(track), dims=FEATURE_DIMS,
                      frame_shift=track.frame_shift, sample_rate=track.sample_rate), payload)
@@ -72,14 +67,8 @@ def read_feature_file(path) -> FeatureTrack:
     rows = _payload_rows(path, payload, n, dims, "<f4")
     if dims != FEATURE_DIMS:
         raise ValueError(f"feature file has {dims} dims, expected {FEATURE_DIMS}")
-    f0 = rows[:, 0]
-    return FeatureTrack(
-        f0=f0,
-        vuv=f0 > 0.0,
-        mcep=rows[:, 1:],
-        frame_shift=frame_shift,
-        sample_rate=sample_rate,
-    )
+    return FeatureTrack(f0=rows[:, 0], mcep=rows[:, 1:], frame_shift=frame_shift,
+                        sample_rate=sample_rate)
 
 
 def write_las_file(path, las: np.ndarray, frame_shift: int, sample_rate: int) -> None:

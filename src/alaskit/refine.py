@@ -24,6 +24,8 @@ class RefinerModel:
     context_radius: int = 0
 
     def __post_init__(self):
+        for name in ("gain", "bias"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if self.gain.shape != self.bias.shape or self.gain.ndim != 1 or self.gain.size == 0:
             raise ValueError("gain and bias must be non-empty 1-D arrays of equal length")
         if not (np.all(np.isfinite(self.gain)) and np.all(np.isfinite(self.bias))):

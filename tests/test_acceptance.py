@@ -106,7 +106,7 @@ def test_criterion_3_envelope_round_trip(params):
         for _ in range(50):
             truth = rng.standard_normal(41) * rng.uniform(0.6, 0.9) ** np.arange(41)
             log_spec = np.log(filter_spectrum(truth, params))
-            recovered = mcep_analysis(log_spec, params, order=40)
+            recovered = mcep_analysis(log_spec, params)
             rmse = float(np.sqrt(np.mean((recovered - truth) ** 2)))
             assert rmse < 1e-3
 
@@ -149,25 +149,22 @@ def test_criterion_6_metric_oracles():
                 total += d * d
         assert abs(las_rmse_db(ref, test) - math.sqrt(total / (50 * 257))) < 1e-12
 
-        def track(f0, vuv, mcep=None):
-            f0 = np.asarray(f0, dtype=np.float64)
-            if mcep is None:
-                mcep = np.zeros((f0.size, 41))
-            return FeatureTrack(f0=f0, vuv=np.asarray(vuv, bool), mcep=mcep,
+        def track(f0, mcep=None):
+            return FeatureTrack(f0=f0, mcep=np.zeros((len(f0), 41)) if mcep is None else mcep,
                                 frame_shift=80, sample_rate=16000)
 
-        voiced = track(np.full(10, 180.0), np.ones(10, bool))
-        doubled = track(np.full(10, 360.0), np.ones(10, bool))
+        voiced = track(np.full(10, 180.0))
+        doubled = track(np.full(10, 360.0))
         assert abs(f0_rmse_cent(voiced, doubled) - 1200.0) < 1e-9
 
         mcep = np.zeros((10, 41))
         mcep[:, 5] = 1.0
-        unit = track(np.full(10, 180.0), np.ones(10, bool), mcep)
+        unit = track(np.full(10, 180.0), mcep)
         expected = (10.0 / math.log(10.0)) * math.sqrt(2.0)
         assert abs(mcd_v_db(voiced, unit) - expected) < 1e-9
 
-        a = track([100, 0, 100, 0, 100], [1, 0, 1, 0, 1])
-        b = track([100, 120, 100, 0, 0], [1, 1, 1, 0, 0])
+        a = track([100, 0, 100, 0, 100])
+        b = track([100, 120, 100, 0, 0])
         assert vuv_error_pct(a, b) == 100.0 * 2 / 5
 
 

@@ -317,7 +317,7 @@ def _one_frame(f0, energy=0.0, mcep=None):
     mcep (energy first) is given."""
     if mcep is None:
         mcep = energy * np.eye(41)[0]
-    return FeatureTrack(f0=np.array([f0]), vuv=np.array([f0 > 0]),
+    return FeatureTrack(f0=np.array([f0]),
                         mcep=np.asarray(mcep, dtype=np.float64)[None],
                         frame_shift=80, sample_rate=16000)
 
@@ -377,7 +377,7 @@ class TestRecoverAlas:
     def test_single_frame_track(self, params, vowel_corpus):
         track = extract_features(vowel_corpus[0], params)
         single = type(track)(
-            f0=track.f0[5:6], vuv=track.vuv[5:6], mcep=track.mcep[5:6],
+            f0=track.f0[5:6], mcep=track.mcep[5:6],
             frame_shift=track.frame_shift, sample_rate=track.sample_rate,
         )
         out = recover_alas(single, params)
@@ -393,7 +393,7 @@ class TestRecoverAlas:
                                    track.mcep, params)
 
     def test_rejects_mismatched_geometry(self, params):
-        track = FeatureTrack(f0=np.array([0.0]), vuv=np.array([False]), mcep=np.zeros((1, 41)),
+        track = FeatureTrack(f0=np.array([0.0]), mcep=np.zeros((1, 41)),
                              frame_shift=40, sample_rate=8000)
         with pytest.raises(ValueError, match="geometry"):
             recover_alas(track, params)
@@ -401,7 +401,7 @@ class TestRecoverAlas:
     def test_huge_mcep_rejected_without_warning(self, params):
         mcep = np.zeros((4, 41))
         mcep[2, 5] = 1e30
-        track = FeatureTrack(f0=np.zeros(4), vuv=np.zeros(4, bool), mcep=mcep,
+        track = FeatureTrack(f0=np.zeros(4), mcep=mcep,
                              frame_shift=80, sample_rate=16000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -413,7 +413,7 @@ class TestRecoverAlas:
         # such bins in the window convolution
         mcep = np.zeros((5, 41))
         mcep[:, 0] = 709.0
-        track = FeatureTrack(f0=np.zeros(5), vuv=np.zeros(5, bool), mcep=mcep,
+        track = FeatureTrack(f0=np.zeros(5), mcep=mcep,
                              frame_shift=80, sample_rate=16000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -424,7 +424,7 @@ class TestRecoverAlas:
         track = extract_features(vowel_corpus[1], params)
         perm = np.random.default_rng(18).permutation(len(track))
         shuffled = type(track)(
-            f0=track.f0[perm], vuv=track.vuv[perm], mcep=track.mcep[perm],
+            f0=track.f0[perm], mcep=track.mcep[perm],
             frame_shift=track.frame_shift, sample_rate=track.sample_rate,
         )
         # rows land in other BLAS blocks, so equal within the oracle tolerance

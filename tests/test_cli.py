@@ -209,7 +209,7 @@ def test_recover_huge_mcep_exits_two(tmp_path):
     mcep = np.zeros((5, 41))
     mcep[1, 3] = 1e30
     feat = tmp_path / "huge.aftk"
-    write_feature_file(feat, FeatureTrack(f0=np.full(5, 120.0), vuv=np.ones(5, bool), mcep=mcep,
+    write_feature_file(feat, FeatureTrack(f0=np.full(5, 120.0), mcep=mcep,
                                           frame_shift=80, sample_rate=16000))
     out = tmp_path / "out.lask"
     with warnings.catch_warnings():
@@ -224,7 +224,7 @@ def test_recover_convolution_overflow_exits_two(tmp_path):
     mcep = np.zeros((5, 41))
     mcep[:, 0] = 709.0
     feat = tmp_path / "huge.aftk"
-    write_feature_file(feat, FeatureTrack(f0=np.zeros(5), vuv=np.zeros(5, bool), mcep=mcep,
+    write_feature_file(feat, FeatureTrack(f0=np.zeros(5), mcep=mcep,
                                           frame_shift=80, sample_rate=16000))
     out = tmp_path / "out.lask"
     with warnings.catch_warnings():
@@ -255,8 +255,8 @@ def test_evaluate_las_rejects_mismatched_geometry(tmp_path):
 def test_evaluate_feat_rejects_mismatched_geometry(tmp_path):
     paths = []
     for shift, rate in ((80, 16000), (40, 8000)):
-        track = FeatureTrack(f0=np.full(5, 120.0), vuv=np.ones(5, bool),
-                             mcep=np.zeros((5, 41)), frame_shift=shift, sample_rate=rate)
+        track = FeatureTrack(f0=np.full(5, 120.0), mcep=np.zeros((5, 41)), frame_shift=shift,
+                             sample_rate=rate)
         paths.append(tmp_path / f"{shift}.aftk")
         write_feature_file(paths[-1], track)
     assert cli.main(["evaluate", "--ref", str(paths[0]), "--test", str(paths[1]),
@@ -269,9 +269,8 @@ def test_evaluate_rejects_flag_contradicting_both_headers(tmp_path, mode):
     if mode == "--las":
         write_las_file(path, np.zeros((5, 257)), 80, 16000)
     else:
-        write_feature_file(path, FeatureTrack(f0=np.full(5, 120.0), vuv=np.ones(5, bool),
-                                              mcep=np.zeros((5, 41)), frame_shift=80,
-                                              sample_rate=16000))
+        write_feature_file(path, FeatureTrack(f0=np.full(5, 120.0), mcep=np.zeros((5, 41)),
+                                              frame_shift=80, sample_rate=16000))
     argv = ["evaluate", mode, "--ref", str(path), "--test", str(path)]
     assert cli.main(argv + ["--sample-rate", "8000"]) == 2
     assert cli.main(argv + ["--sample-rate", "16000"]) == 0
@@ -309,6 +308,25 @@ def test_analyze_needs_sample_rate_of_f0_max(tmp_path, rate, code):
     path = tmp_path / "low.wav"
     write_wav(path, Waveform(0.5 * np.sin(2 * np.pi * 100.0 * np.arange(rate) / rate), rate))
     assert cli.main(["analyze", str(path), "-o", str(tmp_path / "low.aftk")]) == code
+
+
+def test_analyze_fft_too_small_for_41_mel_cepstra_exits_two(tmp_path, utterance_wav, capsys):
+    out = tmp_path / "x.aftk"
+    argv = ["analyze", str(utterance_wav), "-o", str(out), "--frame-len", "64",
+            "--frame-shift", "16", "--fft-size", "64"]
+    assert cli.main(argv) == 2
+    assert "41 mel-cepstra need at least 41 spectral bins" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_recover_negative_f0_exits_two(tmp_path, capsys):
+    rows = np.zeros((5, 42))
+    rows[:, 0] = [120.0, 0.0, -120.0, 0.0, 120.0]
+    feat, out = tmp_path / "neg.aftk", tmp_path / "out.lask"
+    rawfiles.write_container(feat, b"AFTK", rows)
+    assert cli.main(["recover", str(feat), "-o", str(out)]) == 2
+    assert "f0 must be finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -15,7 +15,10 @@ from alaskit import (
     extract_las,
     filter_spectrum,
     mcep_analysis,
+    read_feature_file,
+    recover_alas,
     warp_cepstrum,
+    write_feature_file,
 )
 
 
@@ -95,7 +98,7 @@ class TestMcepAnalysis:
         p = AnalysisParams(warp_alpha=0.0)
         rng = np.random.default_rng(8)
         las_frame = rng.standard_normal(p.num_bins)
-        coeffs = mcep_analysis(las_frame, p, order=40)
+        coeffs = mcep_analysis(las_frame, p)
         plain = np.fft.irfft(las_frame, n=p.fft_size)[:41]
         np.testing.assert_allclose(coeffs, plain, atol=1e-12)
 
@@ -103,13 +106,19 @@ class TestMcepAnalysis:
         rng = np.random.default_rng(9)
         truth = rng.standard_normal(41) * 0.8 ** np.arange(41)
         log_spec = np.log(filter_spectrum(truth, params))
-        recovered = mcep_analysis(log_spec, params, order=40)
+        recovered = mcep_analysis(log_spec, params)
         rmse = float(np.sqrt(np.mean((recovered - truth) ** 2)))
         assert rmse < 1e-3
 
     def test_dimension_mismatch(self, params):
         with pytest.raises(ValueError):
             mcep_analysis(np.zeros(100), params)
+
+    def test_needs_41_bins(self):
+        p = AnalysisParams(frame_len=64, frame_shift=16, fft_size=64)
+        with pytest.raises(ValueError, match="41 mel-cepstra need at least 41 spectral bins, "
+                                             r"got 33 \(fft_size 64\)"):
+            mcep_analysis(np.zeros(p.num_bins), p)
 
     def test_batch_matches_per_frame_oracle(self, params, vowel_corpus):
         # measured: 4e-15
@@ -171,8 +180,8 @@ class TestExtractFeatures:
 
 class TestFeatureTrack:
     def _track(self, **changes):
-        fields = dict(f0=np.array([0.0, 120.0, 0.0]), vuv=np.array([False, True, False]),
-                      mcep=np.zeros((3, 41)), frame_shift=80, sample_rate=16000)
+        fields = dict(f0=np.array([0.0, 120.0, 0.0]), mcep=np.zeros((3, 41)), frame_shift=80,
+                      sample_rate=16000)
         return FeatureTrack(**{**fields, **changes})
 
     @pytest.mark.parametrize("name, value", [("frame_shift", 80.5), ("frame_shift", 80.0),
@@ -186,10 +195,46 @@ class TestFeatureTrack:
         assert type(track.frame_shift) is int and type(track.sample_rate) is int
         assert (track.frame_shift, track.sample_rate) == (80, 16000)
 
-    @pytest.mark.parametrize("f0, vuv", [
-        ([0.0, 0.0, 0.0], [True, True, True]),  # voiced frames without an F0
-        ([0.0, 120.0, 0.0], [False, False, False]),  # an F0 on an unvoiced frame
-    ])
-    def test_vuv_must_match_positive_f0(self, f0, vuv):
-        with pytest.raises(ValueError, match="vuv must equal f0 > 0"):
-            self._track(f0=np.array(f0), vuv=np.array(vuv))
+    def test_vuv_is_positive_f0(self, tmp_path):
+        track = self._track(f0=np.array([0.0, 120.0, -0.0, 80.0]), mcep=np.zeros((4, 41)))
+        write_feature_file(tmp_path / "t.aftk", track)
+        for t in (track, read_feature_file(tmp_path / "t.aftk")):
+            assert np.array_equal(t.vuv, [False, True, False, True])
+            assert np.array_equal(t.vuv, t.f0 > 0)
+        with pytest.raises(AttributeError):
+            track.vuv = np.ones(4, bool)
+        with pytest.raises(TypeError, match="vuv"):  # derived, so not a constructor argument
+            self._track(vuv=np.array([False, True, False]))
+
+    def test_lists_are_coerced_to_float64(self):
+        track = self._track(f0=[0, 120, 0], mcep=[[0] * 41] * 3)
+        assert track.f0.dtype == track.mcep.dtype == np.float64
+        assert track.mcep.shape == (3, 41)
+        assert np.array_equal(track.vuv, [False, True, False])
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 40), (3, 42), (2, 41), (1, 3, 41)])
+    def test_mcep_must_be_frames_by_41(self, shape):
+        with pytest.raises(ValueError, match=r"mcep must be 3 frames x 41 mel-cepstra"):
+            self._track(mcep=np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+    def test_f0_must_be_finite_and_nonnegative(self, bad):
+        with pytest.raises(ValueError, match="f0 must be finite and nonnegative"):
+            self._track(f0=np.array([0.0, 120.0, bad]))
+
+    @pytest.mark.parametrize("f0", [np.zeros(0), np.zeros((3, 1)), 120.0])
+    def test_f0_must_be_a_non_empty_vector(self, f0):
+        with pytest.raises(ValueError, match="f0 must be a non-empty 1-D array"):
+            self._track(f0=f0)
+
+    def test_non_finite_mcep_rejected(self):
+        mcep = np.zeros((3, 41))
+        mcep[1, 7] = np.nan
+        with pytest.raises(ValueError, match="mcep must be finite"):
+            self._track(mcep=mcep)
+
+    def test_negative_zero_f0_is_unvoiced(self, params):
+        track = self._track(f0=np.array([-0.0, 120.0, -0.0]))
+        assert np.array_equal(track.vuv, [False, True, False])
+        np.testing.assert_array_equal(recover_alas(track, params)[0],
+                                      recover_alas(self._track(), params)[0])

@@ -102,7 +102,6 @@ def _track(n=7, seed=37):
     f0 = np.where(rng.uniform(size=n) > 0.4, rng.uniform(80, 300, n), 0.0)
     return FeatureTrack(
         f0=f0,
-        vuv=f0 > 0,
         mcep=rng.standard_normal((n, 41)),
         frame_shift=80,
         sample_rate=16000,
@@ -163,6 +162,15 @@ class TestFeatureFile:
         path = tmp_path / "nan.aftk"
         rawfiles.write_container(path, b"AFTK", np.hstack([track.f0[:, None], track.mcep]))
         with pytest.raises(ValueError, match="non-finite"):
+            read_feature_file(path)
+
+    def test_negative_f0_rejected(self, tmp_path):
+        track = _track()
+        rows = np.hstack([track.f0[:, None], track.mcep])
+        rows[4, 0] = -120.0
+        path = tmp_path / "neg.aftk"
+        rawfiles.write_container(path, b"AFTK", rows)
+        with pytest.raises(ValueError, match="f0 must be finite and nonnegative"):
             read_feature_file(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -338,8 +346,8 @@ class TestSpectrogramImage:
     def test_harmonic_striping_visible(self, tmp_path, params):
         from alaskit import FeatureTrack, excitation_spectrum, recover_alas
 
-        track = FeatureTrack(f0=np.full(40, 250.0), vuv=np.ones(40, bool),
-                             mcep=np.zeros((40, 41)), frame_shift=80, sample_rate=16000)
+        track = FeatureTrack(f0=np.full(40, 250.0), mcep=np.zeros((40, 41)), frame_shift=80,
+                             sample_rate=16000)
         las = recover_alas(track, params)
         path = tmp_path / "comb.pgm"
         emit_spectrogram_image(las, path)

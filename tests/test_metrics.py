@@ -17,16 +17,14 @@ from alaskit import (
 from alaskit.features import FeatureTrack
 
 
-def _track(f0, vuv, mcep=None):
-    f0 = np.asarray(f0, dtype=np.float64)
-    if mcep is None:
-        mcep = np.zeros((f0.size, 41))
-    return FeatureTrack(f0=f0, vuv=np.asarray(vuv, dtype=bool), mcep=mcep,
+def _track(f0, mcep=None):
+    """A track whose voicing is f0 > 0, with zero mel-cepstra unless given."""
+    return FeatureTrack(f0=f0, mcep=np.zeros((len(f0), 41)) if mcep is None else mcep,
                         frame_shift=80, sample_rate=16000)
 
 
 def _voiced_track(n=10, mcep=None, f0=150.0):
-    return _track(np.full(n, f0), np.ones(n, dtype=bool), mcep)
+    return _track(np.full(n, f0), mcep)
 
 
 class TestSnr:
@@ -101,17 +99,16 @@ class TestMcdV:
         assert mcd_v_db(ref, _voiced_track(mcep=mcep)) == 0.0
 
     def test_no_common_voiced_frames(self):
-        silent = _track(np.zeros(5), np.zeros(5, dtype=bool))
+        silent = _track(np.zeros(5))
         with pytest.raises(ValueError, match="voiced"):
             mcd_v_db(silent, silent)
 
     def test_ignores_frames_not_voiced_in_both(self):
-        vuv = np.array([True, True, False, True])
         base = np.zeros((4, 41))
         noisy = base.copy()
         noisy[2] = 99.0  # altered frame is unvoiced in ref
-        ref = _track([100, 100, 0, 100], vuv)
-        assert mcd_v_db(ref, _track([100, 100, 120, 100], [1, 1, 1, 1], noisy)) == 0.0
+        ref = _track([100, 100, 0, 100])
+        assert mcd_v_db(ref, _track([100, 100, 120, 100], noisy)) == 0.0
 
 
 class TestF0Rmse:
@@ -136,20 +133,19 @@ class TestF0Rmse:
 
 class TestVuvError:
     def test_identical_flags(self):
-        t = _track([100, 0, 100], [1, 0, 1])
+        t = _track([100, 0, 100])
         assert vuv_error_pct(t, t) == 0.0
 
     def test_all_flipped(self):
-        a = _track([100, 0, 100], [1, 0, 1])
-        b = _track([0, 100, 0], [0, 1, 0])
+        a = _track([100, 0, 100])
+        b = _track([0, 100, 0])
         assert vuv_error_pct(a, b) == 100.0
 
     def test_fractional_count(self):
-        flags_a = np.zeros(120, dtype=bool)
-        flags_b = flags_a.copy()
+        flags_b = np.zeros(120, dtype=bool)
         flags_b[[5, 50, 100]] = True
-        a = _track(np.zeros(120), flags_a)
-        b = _track(np.where(flags_b, 100.0, 0.0), flags_b)
+        a = _track(np.zeros(120))
+        b = _track(np.where(flags_b, 100.0, 0.0))
         assert vuv_error_pct(a, b) == pytest.approx(2.5)
 
 

@@ -61,6 +61,12 @@ class TestFitRefiner:
         model = RefinerModel(gain=np.ones(8), bias=np.zeros(8), context_radius=np.uint32(2))
         assert type(model.context_radius) is int and model.context_radius == 2
 
+    def test_lists_are_coerced_to_float64(self):
+        model = RefinerModel(gain=[1, 2], bias=[0.0, -1.0])
+        assert model.gain.dtype == model.bias.dtype == np.float64
+        assert model.num_bins == 2
+        np.testing.assert_array_equal(apply_refiner(model, np.ones((3, 2))), [[1.0, 1.0]] * 3)
+
     def test_model_needs_at_least_one_bin(self):
         with pytest.raises(ValueError, match="non-empty 1-D arrays"):
             RefinerModel(gain=np.ones(0), bias=np.zeros(0))
