@@ -203,8 +203,16 @@ class TestFeatureTrack:
             assert np.array_equal(t.vuv, t.f0 > 0)
         with pytest.raises(AttributeError):
             track.vuv = np.ones(4, bool)
-        with pytest.raises(TypeError, match="vuv"):  # derived, so not a constructor argument
-            self._track(vuv=np.array([False, True, False]))
+
+    @pytest.mark.parametrize("f0, vuv", [
+        ([0.0, 0.0, 0.0], [True, True, True]),  # voiced frames without an F0
+        ([0.0, 120.0, 0.0], [False, False, False]),  # an F0 on an unvoiced frame
+    ])
+    def test_vuv_must_match_positive_f0(self, f0, vuv):
+        # vuv is derived from f0, so a disagreeing one cannot be passed in
+        with pytest.raises(TypeError, match="vuv"):
+            self._track(f0=np.array(f0), vuv=np.array(vuv))
+        assert np.array_equal(self._track(f0=np.array(f0)).vuv, np.array(f0) > 0)
 
     def test_lists_are_coerced_to_float64(self):
         track = self._track(f0=[0, 120, 0], mcep=[[0] * 41] * 3)
