@@ -25,6 +25,14 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _read_only_float64(value) -> np.ndarray:
+    """``value`` as a float64 array, through a read-only view: no copy is made
+    of a float64 array, and the caller's own array stays writeable."""
+    view = np.asarray(value, dtype=np.float64).view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class AnalysisParams:
     """Frame/FFT geometry and warping constant shared by all stages.
@@ -313,20 +321,21 @@ def griffin_lim(las: np.ndarray, params: AnalysisParams, iters: int = 60,
     phase = -2.0 * np.pi * np.arange(params.num_bins) * (length // 2) / params.fft_size
     spectra = magnitudes * np.exp(1j * phase)
     full = np.empty((n, params.fft_size))
-    padded = np.zeros((n, params.fft_size))
-    size = np.empty(magnitudes.shape)
     signal, previous, estimate = np.empty((3, norm.size))
     analysed = _frame_view(estimate, length, shift)
 
     def per_frame(rows: slice, analyse: bool) -> None:
         """For the frames in ``rows``: if ``analyse``, analyse ``estimate`` and
         project the spectra onto the target magnitudes; then write the
-        windowed inverse FFTs to the first frame_len columns of ``full``."""
+        windowed inverse FFTs to the first frame_len columns of ``full``.
+        Analysis windows the frames into ``full``, zero-padded, and once they
+        are transformed takes its first num_bins columns for the scale."""
         if analyse:
-            spectrum, scale = spectra[rows], size[rows]
-            np.multiply(analysed[rows], window, out=padded[rows, :length])
-            np.fft.rfft(padded[rows], axis=1, out=spectrum)
-            np.abs(spectrum, out=scale)
+            spectrum, frames = spectra[rows], full[rows]
+            np.multiply(analysed[rows], window, out=frames[:, :length])
+            frames[:, length:] = 0.0
+            np.fft.rfft(frames, axis=1, out=spectrum)
+            scale = np.abs(spectrum, out=frames[:, : params.num_bins])
             if not scale.all():  # a zero bin keeps phasor 1, as np.angle's phase 0
                 zero = scale == 0
                 spectrum[zero] = scale[zero] = 1.0

@@ -5,6 +5,7 @@ energy coefficient and 40 mel-cepstral coefficients, extracted on the same
 frame grid as the log amplitude spectra.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -16,6 +17,7 @@ from .dsp import (
     _check_sample_rate,
     _frames,
     _integer,
+    _read_only_float64,
     extract_las,
     num_frames,
     warp_cepstrum,
@@ -35,8 +37,10 @@ class FeatureTrack:
     ``f0`` is a non-empty 1-D array of finite, nonnegative F0 values in Hz;
     a frame is voiced exactly where f0 > 0 (see :attr:`vuv`). ``mcep`` has
     shape (N, 41): the energy coefficient in column 0, then 40 warped
-    cepstral coefficients, all finite. Both are stored as float64 arrays;
-    ``frame_shift`` and ``sample_rate`` are integers, stored as ``int``.
+    cepstral coefficients, all finite. Both are stored as read-only float64
+    views of what was given, so they share memory with a float64 array
+    passed in (which stays writeable to its owner); ``frame_shift`` and
+    ``sample_rate`` are integers, stored as ``int``.
     """
 
     f0: np.ndarray
@@ -46,7 +50,7 @@ class FeatureTrack:
 
     def __post_init__(self):
         for name in ("f0", "mcep"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            object.__setattr__(self, name, _read_only_float64(getattr(self, name)))
         for name in ("frame_shift", "sample_rate"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         n, width = self.f0.size, MCEP_ORDER + 1
@@ -78,6 +82,8 @@ def estimate_f0(wave: Waveform, params: AnalysisParams) -> tuple[np.ndarray, np.
     lag is refined by parabolic interpolation, preferring the shortest lag
     among near-ties to avoid octave errors. Unvoiced frames get f0 = 0.
     The waveform must be at ``params.sample_rate``, at least F0_MAX Hz.
+    Only the lags the search and the fit read are correlated, in buffers
+    allocated once per call.
     """
     _check_sample_rate(wave, params)
     fs, shift, length = params.sample_rate, params.frame_shift, params.frame_len
@@ -90,46 +96,50 @@ def estimate_f0(wave: Waveform, params: AnalysisParams) -> tuple[np.ndarray, np.
 
     f0 = np.zeros(n)
     vuv = np.zeros(n, dtype=bool)
+    if lag_max <= lag_min:
+        return f0, vuv
+    # r is kept for lags lo..lag_max only: the span lag_min..lag_max and the
+    # one lag below it that the parabolic fit reads (lag_min >= 1, as fs >= F0_MAX).
+    lo = lag_min - 1
+    last = lag_max - lo  # index of lag_max in r
+    power = np.empty(length + lag_max)
+    cumulative = np.zeros(length + lag_max + 1)  # cumulative[0] stays 0
+    running, upper, lower = cumulative[1:], cumulative[length + lo :], cumulative[lo : lag_max + 1]
+    norms = np.empty(last + 1)
     for i, seg in enumerate(segments):
         base = seg[:length]
         base_energy = float(base @ base)
-        if lag_max <= lag_min or np.sqrt(base_energy / length) < RMS_GATE:
+        if math.sqrt(base_energy / length) < RMS_GATE:
             continue
-        corr = np.correlate(seg, base, mode="valid")  # lag 0..lag_max
-        sq = np.concatenate(([0.0], np.cumsum(seg * seg)))
-        energies = sq[length:] - sq[: lag_max + 1]
-        r = corr / np.sqrt(base_energy * energies + 1e-300)
-        span = r[lag_min : lag_max + 1]
+        r = np.correlate(seg[lo:], base, "valid")
+        np.multiply(seg, seg, out=power)
+        np.cumsum(power, out=running)
+        np.subtract(upper, lower, out=norms)  # lagged energies
+        np.multiply(norms, base_energy, out=norms)
+        np.add(norms, 1e-300, out=norms)
+        np.sqrt(norms, out=norms)
+        np.divide(r, norms, out=r)
+        span = r[1:]
         peak = float(span.max())
         if peak < VOICING_THRESHOLD:
             continue
-        lag = lag_min + _pick_peak_lag(span, peak)
-        lag_f = lag + _parabolic_offset(r, lag)
-        f0[i] = float(np.clip(fs / lag_f, F0_MIN, F0_MAX))
+        # The shortest local maximum within 3% of the peak, to dodge period
+        # multiples: from the first lag at 0.97 * peak or above, climb while
+        # the span rises strictly. Lags before the climb's top are no local
+        # maximum, and the top is one.
+        k = int(np.argmax(span >= 0.97 * peak))
+        falls = span[k + 1 :] <= span[k:-1]
+        k += int(np.argmax(falls)) if falls.any() else falls.size
+        lag = k + 1  # index into r
+        offset = 0.0  # parabolic fit, none at lag_max
+        if lag < last:
+            left, mid, right = float(r[lag - 1]), float(r[lag]), float(r[lag + 1])
+            denom = left - 2.0 * mid + right
+            if abs(denom) >= 1e-12:
+                offset = min(max(0.5 * (left - right) / denom, -0.5), 0.5)
+        f0[i] = min(max(fs / (lo + lag + offset), F0_MIN), F0_MAX)
         vuv[i] = True
     return f0, vuv
-
-
-def _pick_peak_lag(span: np.ndarray, peak: float) -> int:
-    """Shortest local maximum within 3% of the peak, to dodge period multiples."""
-    local_max = np.zeros(span.size, dtype=bool)
-    local_max[1:-1] = (span[1:-1] >= span[:-2]) & (span[1:-1] >= span[2:])
-    local_max[0] = span[0] >= span[1]
-    local_max[-1] = span[-1] >= span[-2]
-    candidates = np.nonzero(local_max & (span >= 0.97 * peak))[0]
-    if candidates.size == 0:
-        return int(np.argmax(span))
-    return int(candidates[0])
-
-
-def _parabolic_offset(r: np.ndarray, lag: int) -> float:
-    """Sub-sample peak offset from a 3-point parabolic fit, in (-0.5, 0.5)."""
-    if lag <= 0 or lag >= r.size - 1:
-        return 0.0
-    denom = r[lag - 1] - 2.0 * r[lag] + r[lag + 1]
-    if abs(denom) < 1e-12:
-        return 0.0
-    return float(np.clip(0.5 * (r[lag - 1] - r[lag + 1]) / denom, -0.5, 0.5))
 
 
 @lru_cache(maxsize=8)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import _check_las, _integer
+from .dsp import _check_las, _integer, _read_only_float64
 from .io import _REFINER_MAGIC, _payload_rows, _read_container, _write_container
 
 _RADIUS_MAX = 0xFFFFFFFF  # the header stores the context radius as a u32
@@ -17,7 +17,12 @@ _RADIUS_MAX = 0xFFFFFFFF  # the header stores the context radius as a u32
 
 @dataclass(frozen=True, eq=False)
 class RefinerModel:
-    """Per-bin gain/bias in log units, plus a temporal smoothing radius."""
+    """Per-bin gain/bias in log units, plus a temporal smoothing radius.
+
+    ``gain`` and ``bias`` are stored as read-only float64 views of what was
+    given, so they share memory with a float64 array passed in (which stays
+    writeable to its owner).
+    """
 
     gain: np.ndarray
     bias: np.ndarray
@@ -25,7 +30,7 @@ class RefinerModel:
 
     def __post_init__(self):
         for name in ("gain", "bias"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            object.__setattr__(self, name, _read_only_float64(getattr(self, name)))
         if self.gain.shape != self.bias.shape or self.gain.ndim != 1 or self.gain.size == 0:
             raise ValueError("gain and bias must be non-empty 1-D arrays of equal length")
         if not (np.all(np.isfinite(self.gain)) and np.all(np.isfinite(self.bias))):

@@ -12,10 +12,16 @@ spacing; the float-modulo comb it replaced is kept below as its reference.
 
 The library frames every signal as one strided view, overlap-adds by
 shifted blocks and runs Griffin-Lim with one phasor update per iteration.
-The hand-padded framing, the per-frame F0 search over its own padded
-buffer, the scatter-add (bincount) overlap-add over an index grid, and the
-per-frame overlap-add Griffin-Lim (with or without momentum) with its
-angle/exp phase round trip are kept below as their references.
+The hand-padded framing, the scatter-add (bincount) overlap-add over an
+index grid, and the per-frame overlap-add Griffin-Lim (with or without
+momentum) with its angle/exp phase round trip are kept below as their
+references.
+
+The library's F0 search scans only the lags it reads, in buffers made once
+per call, and climbs to the shortest near-peak maximum. Its reference
+below slices each frame from its own padded buffer, scans every lag from 0
+to ceil(fs/F0_MIN), and has its own peak pick over a local-maximum mask and
+its own parabolic fit, so the two share only the constants.
 """
 
 import numpy as np
@@ -27,14 +33,7 @@ from alaskit import (
     warp_cepstrum,
     window_spectrum,
 )
-from alaskit.features import (
-    F0_MAX,
-    F0_MIN,
-    RMS_GATE,
-    VOICING_THRESHOLD,
-    _parabolic_offset,
-    _pick_peak_lag,
-)
+from alaskit.features import F0_MAX, F0_MIN, RMS_GATE, VOICING_THRESHOLD
 
 
 def warp_recursion(m, alpha):
@@ -131,11 +130,36 @@ def estimate_f0_padded(samples, params):
         peak = float(span.max())
         if peak < VOICING_THRESHOLD:
             continue
-        lag = lag_min + _pick_peak_lag(span, peak)
-        lag_f = lag + _parabolic_offset(r, lag)
+        lag = lag_min + pick_peak_lag(span, peak)
+        lag_f = lag + parabolic_offset(r, lag)
         f0[i] = float(np.clip(fs / lag_f, F0_MIN, F0_MAX))
         vuv[i] = True
     return f0, vuv
+
+
+def pick_peak_lag(span, peak):
+    """Index of the shortest local maximum of ``span`` within 3% of its peak
+    (an end counts when it is no lower than its one neighbour), else of the
+    peak itself."""
+    local_max = np.zeros(span.size, dtype=bool)
+    local_max[1:-1] = (span[1:-1] >= span[:-2]) & (span[1:-1] >= span[2:])
+    local_max[0] = span[0] >= span[1]
+    local_max[-1] = span[-1] >= span[-2]
+    candidates = np.nonzero(local_max & (span >= 0.97 * peak))[0]
+    if candidates.size == 0:
+        return int(np.argmax(span))
+    return int(candidates[0])
+
+
+def parabolic_offset(r, lag):
+    """Sub-sample offset of the peak of r at ``lag`` from a 3-point parabolic
+    fit, clipped to [-0.5, 0.5]; 0 at either end of r or on a flat top."""
+    if lag <= 0 or lag >= r.size - 1:
+        return 0.0
+    denom = r[lag - 1] - 2.0 * r[lag] + r[lag + 1]
+    if abs(denom) < 1e-12:
+        return 0.0
+    return float(np.clip(0.5 * (r[lag - 1] - r[lag + 1]) / denom, -0.5, 0.5))
 
 
 def overlap_add_bincount(frames, shift):

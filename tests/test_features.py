@@ -4,8 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+import vowelgen
 from alaskit import (
     AnalysisParams,
     Waveform,
@@ -60,6 +63,73 @@ class TestEstimateF0:
                 expected_f0, expected_vuv = oracles.estimate_f0_padded(samples, params)
                 assert np.array_equal(f0, expected_f0)
                 assert np.array_equal(vuv, expected_vuv)
+
+    @pytest.mark.parametrize("rate, shift", [(8000, 80), (22050, 80), (44100, 80), (16000, 96)])
+    def test_matches_padded_buffer_search_at_other_geometry(self, rate, shift):
+        # lag_min and lag_max scale with the rate; a shift of 96 moves every
+        # frame off the 80-sample grid
+        params = AnalysisParams(sample_rate=rate, frame_shift=shift)
+        vowel = vowelgen.synth_vowel([110.0, 230.0, 470.0], 0.6, rate, 41,
+                                     vowelgen.FORMANT_SETS[0]).samples
+        noise = 0.05 * np.random.default_rng(42).standard_normal(rate // 5)
+        samples = np.concatenate([vowel, noise, np.zeros(rate // 20), vowel[: rate // 7]])
+        f0, vuv = estimate_f0(Waveform(samples, rate), params)
+        expected_f0, expected_vuv = oracles.estimate_f0_padded(samples, params)
+        assert np.array_equal(f0, expected_f0)
+        assert np.array_equal(vuv, expected_vuv)
+        assert 0 < np.count_nonzero(vuv) < vuv.size
+
+    @pytest.mark.parametrize("size, period", [(100, 40), (34, 32), (33, 32), (400, 320),
+                                              (32, 16), (20, 7), (1, 1)])
+    def test_matches_padded_buffer_search_on_short_waves(self, params, size, period):
+        # Below ceil(fs / F0_MIN) = 320 samples the scan stops at the wave's
+        # end; at lag_min = 32 samples or fewer no lag is left to scan. The
+        # pulses' negative second sample pulls the 33-sample wave's parabolic
+        # fit, which reads lag_max = 33, past lag 32, to below 500 Hz.
+        rng = np.random.default_rng(size)
+        samples = 0.01 * rng.standard_normal(size)
+        samples[::period] += 0.5
+        samples[1::period] -= 0.3
+        f0, vuv = estimate_f0(Waveform(samples, params.sample_rate), params)
+        expected_f0, expected_vuv = oracles.estimate_f0_padded(samples, params)
+        assert np.array_equal(f0, expected_f0)
+        assert np.array_equal(vuv, expected_vuv)
+        assert vuv.any() == (size > 32)
+        assert size != 33 or 0 < f0[0] < 500.0
+
+    @pytest.mark.parametrize("size, pulses, expected", [
+        (34, {0: 0.5, 1: 0.5, 2: 0.5, 33: 0.5}, 500.0),  # r equal at lags 31..33: no fit
+        (330, {0: 0.5, 1: 0.5, 320: 0.5}, 16000 / 319.5),  # r equal at 319 and 320 = lag_max
+        (330, {0: 0.5, 1: 0.49, 320: 0.5}, 50.0),  # r rising 2% from 319 to 320
+    ])
+    def test_matches_padded_buffer_search_at_the_span_ends(self, params, size, pulses, expected):
+        # Of tied lags the shorter is taken, then fitted; a peak at lag_max
+        # itself gets no fit.
+        samples = np.zeros(size)
+        samples[list(pulses)] = list(pulses.values())
+        f0, vuv = estimate_f0(Waveform(samples, params.sample_rate), params)
+        expected_f0, expected_vuv = oracles.estimate_f0_padded(samples, params)
+        assert np.array_equal(f0, expected_f0)
+        assert np.array_equal(vuv, expected_vuv)
+        assert f0[0] == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(f0=st.floats(60.0, 480.0), amplitude=st.floats(5e-5, 4e-4),
+           noise=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_padded_buffer_search_near_the_gates(self, params, f0, amplitude, noise,
+                                                         seed):
+        # Amplitudes around RMS_GATE * sqrt(2), faded in and out, put frames on
+        # both sides of the RMS gate; the noise moves the correlation peak
+        # across VOICING_THRESHOLD.
+        t = np.arange(params.sample_rate // 5) / params.sample_rate
+        rng = np.random.default_rng(seed)
+        fade = np.minimum(1.0, np.minimum(t, t[::-1]) / 0.08)
+        samples = amplitude * fade * (np.sin(2 * np.pi * f0 * t)
+                                      + noise * rng.standard_normal(t.size))
+        f0s, vuv = estimate_f0(Waveform(samples, params.sample_rate), params)
+        expected_f0, expected_vuv = oracles.estimate_f0_padded(samples, params)
+        assert np.array_equal(f0s, expected_f0)
+        assert np.array_equal(vuv, expected_vuv)
 
 
     def test_sample_rate_mismatch_rejected(self, params):
@@ -213,6 +283,20 @@ class TestFeatureTrack:
         with pytest.raises(TypeError, match="vuv"):
             self._track(f0=np.array(f0), vuv=np.array(vuv))
         assert np.array_equal(self._track(f0=np.array(f0)).vuv, np.array(f0) > 0)
+
+    @pytest.mark.parametrize("name, index", [("f0", 1), ("mcep", (1, 4))])
+    def test_arrays_are_read_only_views(self, tmp_path, name, index):
+        # a track once checked stays valid: writing -5 into its F0 would make
+        # an .aftk that read_feature_file rejects
+        given = dict(f0=np.array([0.0, 120.0, 0.0]), mcep=np.zeros((3, 41)))
+        track = self._track(**given)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(track, name)[index] = -5.0
+        write_feature_file(tmp_path / "t.aftk", track)
+        assert np.array_equal(getattr(read_feature_file(tmp_path / "t.aftk"), name), given[name])
+        assert np.shares_memory(getattr(track, name), given[name])
+        given[name][index] = 7.0  # the caller's own array stays writeable
+        assert getattr(track, name)[index] == 7.0
 
     def test_lists_are_coerced_to_float64(self):
         track = self._track(f0=[0, 120, 0], mcep=[[0] * 41] * 3)

@@ -1,5 +1,6 @@
 """Tests for WAV, feature-file, LAS-file and PGM output round trips."""
 
+import copy
 import dataclasses
 import struct
 import types
@@ -147,8 +148,9 @@ class TestFeatureFile:
 
     @pytest.mark.parametrize("value", [1e39, -1e300])
     def test_value_beyond_float32_rejected(self, tmp_path, value):
-        track = _track()
-        track.mcep[3, 4] = value
+        mcep = _track().mcep.copy()
+        mcep[3, 4] = value
+        track = dataclasses.replace(_track(), mcep=mcep)
         path = tmp_path / "big.aftk"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -158,9 +160,10 @@ class TestFeatureFile:
 
     def test_non_finite_f0_rejected(self, tmp_path):
         track = _track()
-        track.f0[2] = np.nan
+        rows = np.hstack([track.f0[:, None], track.mcep])
+        rows[2, 0] = np.nan
         path = tmp_path / "nan.aftk"
-        rawfiles.write_container(path, b"AFTK", np.hstack([track.f0[:, None], track.mcep]))
+        rawfiles.write_container(path, b"AFTK", rows)
         with pytest.raises(ValueError, match="non-finite"):
             read_feature_file(path)
 
@@ -176,8 +179,12 @@ class TestFeatureFile:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("column", ["f0", "mcep"])
     def test_writer_rejects_non_finite(self, tmp_path, bad, column):
-        track = _track()
-        getattr(track, column)[2] = bad
+        # FeatureTrack refuses a non-finite value, so the bad track is a copy
+        # whose column is swapped for a modified copy behind its checks
+        values = getattr(_track(), column).copy()
+        values[2] = bad
+        track = copy.copy(_track())
+        object.__setattr__(track, column, values)
         path = tmp_path / "bad.aftk"
         with pytest.raises(ValueError, match="non-finite"):
             write_feature_file(path, track)

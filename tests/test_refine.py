@@ -67,6 +67,16 @@ class TestFitRefiner:
         assert model.num_bins == 2
         np.testing.assert_array_equal(apply_refiner(model, np.ones((3, 2))), [[1.0, 1.0]] * 3)
 
+    @pytest.mark.parametrize("name", ["gain", "bias"])
+    def test_arrays_are_read_only_views(self, name):
+        given = dict(gain=np.ones(8), bias=np.zeros(8))
+        model = RefinerModel(**given)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(model, name)[3] = -1.0
+        assert np.shares_memory(getattr(model, name), given[name])
+        given[name][3] = 5.0  # the caller's own array stays writeable
+        assert getattr(model, name)[3] == 5.0
+
     def test_model_needs_at_least_one_bin(self):
         with pytest.raises(ValueError, match="non-empty 1-D arrays"):
             RefinerModel(gain=np.ones(0), bias=np.zeros(0))
