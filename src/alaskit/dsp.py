@@ -75,13 +75,20 @@ class AnalysisParams:
 
 @dataclass(frozen=True, eq=False)
 class Waveform:
-    """Mono PCM samples (float, nominally in [-1, 1]) with a sample rate."""
+    """Mono PCM samples (float, nominally in [-1, 1]) with a sample rate.
+
+    ``samples`` must be 1-D and finite. It is stored as a read-only float64
+    view of what was given, so it shares memory with a float64 array passed
+    in (which stays writeable to its owner) and a checked waveform cannot be
+    changed through it; ``sample_rate`` is a positive integer, stored as
+    ``int``.
+    """
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+        object.__setattr__(self, "samples", _read_only_float64(self.samples))
         object.__setattr__(self, "sample_rate", _integer("sample_rate", self.sample_rate))
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
@@ -163,12 +170,15 @@ def mirror_full_spectrum(half: np.ndarray, fft_size: int) -> np.ndarray:
 
     out[..., k] = half[..., k] for k < K and out[..., fft_size-k] =
     half[..., k] for k = 1..K-2, so each row is real-even over the
-    fft_size-point circle. Leading axes are batch axes.
+    fft_size-point circle. Leading axes are batch axes; the values must be
+    finite.
     """
     half = np.asarray(half, dtype=np.float64)
     k = fft_size // 2 + 1
     if half.ndim == 0 or half.shape[-1] != k:
         raise ValueError(f"expected length-{k} half spectra, got {half.shape}")
+    if not np.isfinite(half).all():
+        raise ValueError("half spectra must be finite")
     return np.concatenate([half, half[..., -2:0:-1]], axis=-1)
 
 
@@ -205,11 +215,14 @@ def warp_cepstrum(m: np.ndarray, alpha: float) -> np.ndarray:
 
     and returns [c1(1), ..., cK(1)]. The scheme is linear, so it is applied
     as a cached matrix product; alpha and -alpha are inverse warps for
-    inputs whose warped image fits the vector length.
+    inputs whose warped image fits the vector length. The vectors must be
+    finite.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim == 0 or m.shape[-1] == 0:
         raise ValueError("expected non-empty cepstral vectors")
+    if not np.isfinite(m).all():
+        raise ValueError("cepstral vectors must be finite")
     if not abs(alpha) < 1.0:  # false for NaN
         raise ValueError(f"alpha must be finite with |alpha| < 1, got {alpha}")
     if alpha == 0.0:

@@ -81,9 +81,14 @@ def estimate_f0(wave: Waveform, params: AnalysisParams) -> tuple[np.ndarray, np.
     reaches VOICING_THRESHOLD and the frame RMS clears RMS_GATE. The peak
     lag is refined by parabolic interpolation, preferring the shortest lag
     among near-ties to avoid octave errors. Unvoiced frames get f0 = 0.
-    The waveform must be at ``params.sample_rate``, at least F0_MAX Hz.
-    Only the lags the search and the fit read are correlated, in buffers
-    allocated once per call.
+    The waveform must be at ``params.sample_rate``, at least F0_MAX Hz, and
+    its peak |sample| small enough that the energy products stay finite
+    (about 5.4e75 at the default geometry); a larger one is a ValueError.
+
+    Two stages: a per-frame loop correlates only the lags the search and the
+    fit read, energy-normalised, into the rows of a chunk of about 32768
+    values; the peak pick and the fit then run on the whole chunk at once
+    (:func:`_f0_from_correlation`).
     """
     _check_sample_rate(wave, params)
     fs, shift, length = params.sample_rate, params.frame_shift, params.frame_len
@@ -95,51 +100,78 @@ def estimate_f0(wave: Waveform, params: AnalysisParams) -> tuple[np.ndarray, np.
     segments = _frames(wave.samples, n, length + lag_max, shift)
 
     f0 = np.zeros(n)
-    vuv = np.zeros(n, dtype=bool)
     if lag_max <= lag_min:
-        return f0, vuv
+        return f0, f0 > 0
+    # The cumulative energies reach at most (length + lag_max) * peak^2 and
+    # the frame energy length * peak^2, so a lagged energy times the frame
+    # energy stays finite up to this peak.
+    limit = (np.finfo(np.float64).max / (length * (length + lag_max))) ** 0.25
+    peak = max(float(wave.samples.max()), -float(wave.samples.min()))
+    if peak > limit:
+        raise ValueError(f"F0 analysis needs samples of magnitude at most {limit:.3g} "
+                         f"(the energy products overflow), got {peak:.3g}")
     # r is kept for lags lo..lag_max only: the span lag_min..lag_max and the
     # one lag below it that the parabolic fit reads (lag_min >= 1, as fs >= F0_MAX).
     lo = lag_min - 1
-    last = lag_max - lo  # index of lag_max in r
+    lags = lag_max - lo + 1
+    chunk = max(1, 32768 // lags)
     power = np.empty(length + lag_max)
     cumulative = np.zeros(length + lag_max + 1)  # cumulative[0] stays 0
     running, upper, lower = cumulative[1:], cumulative[length + lo :], cumulative[lo : lag_max + 1]
-    norms = np.empty(last + 1)
-    for i, seg in enumerate(segments):
-        base = seg[:length]
-        base_energy = float(base @ base)
-        if math.sqrt(base_energy / length) < RMS_GATE:
-            continue
-        r = np.correlate(seg[lo:], base, "valid")
-        np.multiply(seg, seg, out=power)
-        np.cumsum(power, out=running)
-        np.subtract(upper, lower, out=norms)  # lagged energies
-        np.multiply(norms, base_energy, out=norms)
-        np.add(norms, 1e-300, out=norms)
-        np.sqrt(norms, out=norms)
-        np.divide(r, norms, out=r)
-        span = r[1:]
-        peak = float(span.max())
-        if peak < VOICING_THRESHOLD:
-            continue
-        # The shortest local maximum within 3% of the peak, to dodge period
-        # multiples: from the first lag at 0.97 * peak or above, climb while
-        # the span rises strictly. Lags before the climb's top are no local
-        # maximum, and the top is one.
-        k = int(np.argmax(span >= 0.97 * peak))
-        falls = span[k + 1 :] <= span[k:-1]
-        k += int(np.argmax(falls)) if falls.any() else falls.size
-        lag = k + 1  # index into r
-        offset = 0.0  # parabolic fit, none at lag_max
-        if lag < last:
-            left, mid, right = float(r[lag - 1]), float(r[lag]), float(r[lag + 1])
-            denom = left - 2.0 * mid + right
-            if abs(denom) >= 1e-12:
-                offset = min(max(0.5 * (left - right) / denom, -0.5), 0.5)
-        f0[i] = min(max(fs / (lo + lag + offset), F0_MIN), F0_MAX)
-        vuv[i] = True
-    return f0, vuv
+    rows = np.empty((min(chunk, n), lags))
+    for start in range(0, n, chunk):
+        block = rows[: min(chunk, n - start)]
+        block.fill(0.0)  # a gated frame keeps r = 0: unvoiced
+        for r, seg in zip(block, segments[start : start + chunk]):
+            base = seg[:length]
+            base_energy = float(base @ base)
+            if math.sqrt(base_energy / length) < RMS_GATE:
+                continue
+            np.multiply(seg, seg, out=power)
+            np.add.accumulate(power, out=running)
+            np.subtract(upper, lower, out=r)  # lagged energies
+            np.multiply(r, base_energy, out=r)
+            np.add(r, 1e-300, out=r)
+            np.sqrt(r, out=r)
+            np.divide(np.correlate(seg[lo:], base, "valid"), r, out=r)
+        f0[start : start + block.shape[0]] = _f0_from_correlation(block, lo, fs)
+    return f0, f0 > 0
+
+
+def _f0_from_correlation(r: np.ndarray, lo: int, fs: int) -> np.ndarray:
+    """F0 of each row of r, the normalized autocorrelation of one frame at
+    lags lo..lo + r.shape[1] - 1; 0 where the peak over lags lo + 1 onward
+    is below VOICING_THRESHOLD.
+
+    The chosen lag is the shortest local maximum within 3% of the peak, to
+    dodge period multiples: from the first lag at 0.97 * peak or above,
+    climb while r rises strictly. Lags before the climb's top are no local
+    maximum, and the top is one. A three-point parabolic fit refines it,
+    except at the last lag or on a flat top.
+    """
+    f0 = np.zeros(r.shape[0])
+    span = r[:, 1:]
+    peak = span.max(axis=1)
+    voiced = np.flatnonzero(peak >= VOICING_THRESHOLD)
+    if voiced.size == 0:
+        return f0
+    span = span[voiced]
+    first = np.argmax(span >= 0.97 * peak[voiced, None], axis=1)
+    # falls[:, j]: the span does not rise from j to j + 1; the last lag ends every climb
+    falls = np.ones(span.shape, dtype=bool)
+    np.less_equal(span[:, 1:], span[:, :-1], out=falls[:, :-1])
+    falls &= np.arange(span.shape[1]) >= first[:, None]
+    lag = np.argmax(falls, axis=1) + 1  # index into r
+    last = r.shape[1] - 1
+    inner = lag < last
+    at = np.minimum(lag, last - 1)  # the fit's centre, kept inside r where there is no fit
+    left, mid, right = (r[voiced, at + d] for d in (-1, 0, 1))
+    denom = left - 2.0 * mid + right
+    offset = np.zeros(voiced.size)
+    np.divide(0.5 * (left - right), denom, out=offset, where=inner & (np.abs(denom) >= 1e-12))
+    np.clip(offset, -0.5, 0.5, out=offset)
+    f0[voiced] = np.clip(fs / (lo + lag + offset), F0_MIN, F0_MAX)
+    return f0
 
 
 @lru_cache(maxsize=8)
@@ -157,12 +189,15 @@ def mcep_analysis(las_frame: np.ndarray, params: AnalysisParams) -> np.ndarray:
     Inverse of the synthesis path: each mirrored log spectrum (last axis)
     is inverse Fourier transformed to a length-K cepstrum, warped with
     -alpha, and truncated to MCEP_ORDER+1 = 41 coefficients, which needs
-    K > MCEP_ORDER bins. Leading axes are batch axes.
+    K > MCEP_ORDER bins. Leading axes are batch axes; the spectra must be
+    finite.
     """
     las_frame = np.asarray(las_frame, dtype=np.float64)
     k = params.num_bins
     if las_frame.ndim == 0 or las_frame.shape[-1] != k:
         raise ValueError(f"expected length-{k} log spectra, got {las_frame.shape}")
+    if not np.isfinite(las_frame).all():
+        raise ValueError("log spectra must be finite")
     if k <= MCEP_ORDER:
         raise ValueError(f"{MCEP_ORDER + 1} mel-cepstra need at least {MCEP_ORDER + 1} spectral "
                          f"bins, got {k} (fft_size {params.fft_size})")

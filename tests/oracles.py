@@ -18,10 +18,11 @@ momentum) with its angle/exp phase round trip are kept below as their
 references.
 
 The library's F0 search scans only the lags it reads, in buffers made once
-per call, and climbs to the shortest near-peak maximum. Its reference
-below slices each frame from its own padded buffer, scans every lag from 0
-to ceil(fs/F0_MIN), and has its own peak pick over a local-maximum mask and
-its own parabolic fit, so the two share only the constants.
+per call, and picks the peaks of a chunk of frames at once, climbing to the
+shortest near-peak maximum. Its reference below slices each frame from its
+own padded buffer, scans every lag from 0 to ceil(fs/F0_MIN), and picks one
+frame at a time with its own peak pick over a local-maximum mask and its
+own parabolic fit, so the two share only the constants.
 """
 
 import numpy as np
@@ -108,25 +109,15 @@ def frame_signal_padded(samples, params):
 def estimate_f0_padded(samples, params):
     """``estimate_f0`` slicing each frame's lag segment from its own padded
     buffer of (n-1)*shift + frame_len + lag_max samples."""
-    fs, shift, length = params.sample_rate, params.frame_shift, params.frame_len
+    fs = params.sample_rate
     lag_min = int(fs / F0_MAX)
-    lag_max = int(np.ceil(fs / F0_MIN))
-    n = -(-samples.size // shift)
-    padded = np.zeros((n - 1) * shift + length + lag_max)
-    padded[: samples.size] = samples
-    f0 = np.zeros(n)
-    vuv = np.zeros(n, dtype=bool)
-    for i in range(n):
-        seg = padded[i * shift : i * shift + length + lag_max]
-        base = seg[:length]
-        base_energy = float(base @ base)
-        if np.sqrt(base_energy / length) < RMS_GATE:
+    rows = autocorrelation_padded(samples, params)
+    f0 = np.zeros(len(rows))
+    vuv = np.zeros(len(rows), dtype=bool)
+    for i, r in enumerate(rows):
+        if r is None:
             continue
-        corr = np.correlate(seg, base, mode="valid")
-        sq = np.concatenate(([0.0], np.cumsum(seg * seg)))
-        energies = sq[length:] - sq[: lag_max + 1]
-        r = corr / np.sqrt(base_energy * energies + 1e-300)
-        span = r[lag_min : lag_max + 1]
+        span = r[lag_min:]
         peak = float(span.max())
         if peak < VOICING_THRESHOLD:
             continue
@@ -135,6 +126,30 @@ def estimate_f0_padded(samples, params):
         f0[i] = float(np.clip(fs / lag_f, F0_MIN, F0_MAX))
         vuv[i] = True
     return f0, vuv
+
+
+def autocorrelation_padded(samples, params):
+    """Per frame, the normalized autocorrelation r at every lag 0 to
+    ceil(fs/F0_MIN), from the frame's own padded buffer; None for a frame
+    under the RMS gate."""
+    fs, shift, length = params.sample_rate, params.frame_shift, params.frame_len
+    lag_max = int(np.ceil(fs / F0_MIN))
+    n = -(-samples.size // shift)
+    padded = np.zeros((n - 1) * shift + length + lag_max)
+    padded[: samples.size] = samples
+    rows = []
+    for i in range(n):
+        seg = padded[i * shift : i * shift + length + lag_max]
+        base = seg[:length]
+        base_energy = float(base @ base)
+        if np.sqrt(base_energy / length) < RMS_GATE:
+            rows.append(None)
+            continue
+        corr = np.correlate(seg, base, mode="valid")
+        sq = np.concatenate(([0.0], np.cumsum(seg * seg)))
+        energies = sq[length:] - sq[: lag_max + 1]
+        rows.append(corr / np.sqrt(base_energy * energies + 1e-300))
+    return rows
 
 
 def pick_peak_lag(span, peak):

@@ -221,6 +221,15 @@ class TestWarpCepstrum:
         with pytest.raises(ValueError, match="alpha must be finite"):
             warp_cepstrum(np.ones(8), alpha)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("alpha", [0.42, 0.0])
+    def test_non_finite_vectors_rejected(self, bad, alpha):
+        # before: NaN out, with a matmul warning at alpha 0.42
+        with pytest.raises(ValueError, match="cepstral vectors must be finite"):
+            warp_cepstrum([bad, 1.0], alpha)
+        with pytest.raises(ValueError, match="cepstral vectors must be finite"):
+            warp_cepstrum(np.array([[0.0, 1.0], [1.0, bad]]), alpha)
+
     @pytest.mark.parametrize("alpha", [0.42, -0.42, 0.7])
     @pytest.mark.parametrize("nonzero", [41, 257])
     def test_matches_scalar_recursion(self, alpha, nonzero):

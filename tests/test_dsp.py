@@ -19,6 +19,7 @@ from alaskit import (
     Waveform,
     apply_refiner,
     emit_spectrogram_image,
+    estimate_f0,
     extract_las,
     fit_refiner,
     frame_signal,
@@ -248,6 +249,13 @@ class TestMirrorFullSpectrum:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             mirror_full_spectrum(np.zeros(100), 512)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        half = np.zeros((2, 257))
+        half[1, 256] = bad
+        with pytest.raises(ValueError, match="half spectra must be finite"):
+            mirror_full_spectrum(half, 512)
 
 
 class TestGriffinLim:
@@ -585,3 +593,17 @@ class TestWaveform:
     def test_numpy_integer_sample_rate_accepted(self):
         wave = Waveform(np.zeros(10), np.uint16(8000))
         assert wave.sample_rate == 8000 and type(wave.sample_rate) is int
+
+    def test_samples_are_a_read_only_view(self, params):
+        # before: a NaN written into a built waveform gave a NaN LAS row and
+        # frame 0 voiced at 50 Hz
+        given = np.zeros(1600)
+        wave = Waveform(given, params.sample_rate)
+        with pytest.raises(ValueError, match="read-only"):
+            wave.samples[5] = np.nan
+        assert np.isfinite(extract_las(wave, params)).all()
+        assert not estimate_f0(wave, params)[0].any()
+        assert np.shares_memory(wave.samples, given)
+        given[5] = 0.25  # the caller's own array stays writeable
+        assert wave.samples[5] == 0.25
+        assert Waveform([0, 1, -1], 8000).samples.dtype == np.float64

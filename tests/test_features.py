@@ -23,11 +23,38 @@ from alaskit import (
     warp_cepstrum,
     write_feature_file,
 )
+from alaskit import features
 
 
 def _sine(freq, seconds, fs, amp=0.5):
     t = np.arange(int(seconds * fs)) / fs
     return Waveform(amp * np.sin(2 * np.pi * freq * t), fs)
+
+
+# estimate_f0 picks peaks on chunks of 32768 // lags frames; at 16 kHz it keeps
+# the 290 lags 31..320, so a chunk holds 112 frames
+CHUNK = 112
+
+
+def _assert_matches_oracle(samples, params):
+    f0, vuv = estimate_f0(Waveform(samples, params.sample_rate), params)
+    expected_f0, expected_vuv = oracles.estimate_f0_padded(samples, params)
+    assert np.array_equal(f0, expected_f0)
+    assert np.array_equal(vuv, expected_vuv)
+    return f0, vuv
+
+
+def _chunks_seen(monkeypatch):
+    """Row counts of the chunks estimate_f0 hands to its peak pick."""
+    seen = []
+    pick = features._f0_from_correlation
+
+    def recording(r, lo, fs):
+        seen.append(r.shape[0])
+        return pick(r, lo, fs)
+
+    monkeypatch.setattr(features, "_f0_from_correlation", recording)
+    return seen
 
 
 class TestEstimateF0:
@@ -59,10 +86,7 @@ class TestEstimateF0:
     def test_matches_padded_buffer_search_on_corpus(self, params, vowel_corpus):
         for wave in vowel_corpus:
             for samples in (wave.samples, wave.samples[:-37]):
-                f0, vuv = estimate_f0(Waveform(samples, params.sample_rate), params)
-                expected_f0, expected_vuv = oracles.estimate_f0_padded(samples, params)
-                assert np.array_equal(f0, expected_f0)
-                assert np.array_equal(vuv, expected_vuv)
+                _assert_matches_oracle(samples, params)
 
     @pytest.mark.parametrize("rate, shift", [(8000, 80), (22050, 80), (44100, 80), (16000, 96)])
     def test_matches_padded_buffer_search_at_other_geometry(self, rate, shift):
@@ -73,10 +97,7 @@ class TestEstimateF0:
                                      vowelgen.FORMANT_SETS[0]).samples
         noise = 0.05 * np.random.default_rng(42).standard_normal(rate // 5)
         samples = np.concatenate([vowel, noise, np.zeros(rate // 20), vowel[: rate // 7]])
-        f0, vuv = estimate_f0(Waveform(samples, rate), params)
-        expected_f0, expected_vuv = oracles.estimate_f0_padded(samples, params)
-        assert np.array_equal(f0, expected_f0)
-        assert np.array_equal(vuv, expected_vuv)
+        f0, vuv = _assert_matches_oracle(samples, params)
         assert 0 < np.count_nonzero(vuv) < vuv.size
 
     @pytest.mark.parametrize("size, period", [(100, 40), (34, 32), (33, 32), (400, 320),
@@ -90,10 +111,7 @@ class TestEstimateF0:
         samples = 0.01 * rng.standard_normal(size)
         samples[::period] += 0.5
         samples[1::period] -= 0.3
-        f0, vuv = estimate_f0(Waveform(samples, params.sample_rate), params)
-        expected_f0, expected_vuv = oracles.estimate_f0_padded(samples, params)
-        assert np.array_equal(f0, expected_f0)
-        assert np.array_equal(vuv, expected_vuv)
+        f0, vuv = _assert_matches_oracle(samples, params)
         assert vuv.any() == (size > 32)
         assert size != 33 or 0 < f0[0] < 500.0
 
@@ -107,10 +125,7 @@ class TestEstimateF0:
         # itself gets no fit.
         samples = np.zeros(size)
         samples[list(pulses)] = list(pulses.values())
-        f0, vuv = estimate_f0(Waveform(samples, params.sample_rate), params)
-        expected_f0, expected_vuv = oracles.estimate_f0_padded(samples, params)
-        assert np.array_equal(f0, expected_f0)
-        assert np.array_equal(vuv, expected_vuv)
+        f0, vuv = _assert_matches_oracle(samples, params)
         assert f0[0] == expected
 
     @settings(max_examples=40, deadline=None)
@@ -126,15 +141,89 @@ class TestEstimateF0:
         fade = np.minimum(1.0, np.minimum(t, t[::-1]) / 0.08)
         samples = amplitude * fade * (np.sin(2 * np.pi * f0 * t)
                                       + noise * rng.standard_normal(t.size))
-        f0s, vuv = estimate_f0(Waveform(samples, params.sample_rate), params)
-        expected_f0, expected_vuv = oracles.estimate_f0_padded(samples, params)
-        assert np.array_equal(f0s, expected_f0)
-        assert np.array_equal(vuv, expected_vuv)
+        _assert_matches_oracle(samples, params)
 
+
+    @pytest.mark.parametrize("frames", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_matches_padded_buffer_search_across_chunk_seams(self, params, monkeypatch, frames):
+        # silence, then a vowel from frame 60 on: voiced runs cross every seam
+        seen = _chunks_seen(monkeypatch)
+        vowel = vowelgen.synth_vowel([140.0, 210.0], 3.0, params.sample_rate, 5,
+                                     vowelgen.FORMANT_SETS[1]).samples
+        samples = np.zeros(frames * params.frame_shift)
+        samples[60 * params.frame_shift :] = vowel[: samples.size - 60 * params.frame_shift]
+        f0, vuv = _assert_matches_oracle(samples, params)
+        assert seen == [CHUNK] * (frames // CHUNK) + [frames % CHUNK] * (frames % CHUNK > 0)
+        assert not vuv[:56].any() and vuv[70 : frames - 4].all()
+
+    def test_matches_padded_buffer_search_with_an_unvoiced_chunk(self, params, monkeypatch):
+        # the middle chunk holds noise and silence only, and its frames' lag
+        # segments end before the last vowel starts: no row is voiced (under
+        # some noise seeds the frame half in the noise's tail is)
+        seen = _chunks_seen(monkeypatch)
+        shift = params.frame_shift
+        vowel = vowelgen.synth_vowel([160.0], 1.0, params.sample_rate, 6,
+                                     vowelgen.FORMANT_SETS[2]).samples
+        noise = 0.05 * np.random.default_rng(12).standard_normal(CHUNK * shift // 2)
+        samples = np.concatenate([vowel[: CHUNK * shift], noise,
+                                  np.zeros((CHUNK // 2 + 10) * shift), vowel[: 40 * shift]])
+        f0, vuv = _assert_matches_oracle(samples, params)
+        assert seen == [CHUNK, CHUNK, 50]
+        assert vuv[:CHUNK].any() and not vuv[CHUNK + 4 : 2 * CHUNK].any() and vuv[-30:].any()
+
+    @pytest.mark.parametrize("pulses, climb, tie", [
+        ({0: 1.0, 1: 0.995, 2: 0.99, 3: 0.98, 4: 0.975, 200: 1.0}, 4, False),
+        ({0: 1.0, 1: 0.995, 2: 0.995, 3: 0.99, 4: 0.98, 5: 0.975, 200: 1.0}, 3, True),
+        ({0: 1.0, 1: 0.99, 2: 0.975, 3: 0.9, 4: 0.965, 200: 1.0}, 2, False),
+    ])
+    def test_matches_padded_buffer_search_on_climbs(self, params, pulses, climb, tie):
+        # Frame 0's lagged windows past lag 5 hold only the pulse at 200, so r
+        # at lag 200 - i is the pulse at i over one shared norm, exactly: the
+        # climb from the first lag within 3% of the peak runs ``climb`` lags.
+        # In the second case it stops at an exact tie though r rises after it;
+        # in the third it starts past a local maximum 3.5% below the peak.
+        samples = np.zeros(201)
+        samples[list(pulses)] = list(pulses.values())
+        f0, vuv = _assert_matches_oracle(samples, params)
+        lag_min = int(params.sample_rate / features.F0_MAX)
+        r = oracles.autocorrelation_padded(samples, params)[0]
+        span = r[lag_min:]
+        first = lag_min + int(np.argmax(span >= 0.97 * span.max()))
+        top = lag_min + oracles.pick_peak_lag(span, float(span.max()))
+        assert top - first == climb and np.all(np.diff(r[first : top + 1]) > 0)
+        assert (r[top + 1] == r[top]) == tie and (r[top + 2] > r[top]) == tie
+        assert vuv[0]
+        if tie:  # the fit over (rising, top, tied) lands half a lag up
+            assert f0[0] == params.sample_rate / (top + 0.5)
 
     def test_sample_rate_mismatch_rejected(self, params):
         with pytest.raises(ValueError, match="8000 Hz.*16000 Hz"):
             estimate_f0(_sine(200.0, 0.2, 8000), params)
+
+    def test_large_samples_below_the_overflow_limit_analysed(self, params):
+        # a 1e74 sine: the energy products reach about 3e300, finite
+        wave = _sine(200.0, 0.2, params.sample_rate, amp=1e74)
+        f0, vuv = _assert_matches_oracle(wave.samples, params)
+        assert np.count_nonzero(vuv) == 39 and np.all(np.abs(f0[vuv] - 200.0) <= 2.0)
+
+    @pytest.mark.parametrize("amplitude", [1e76, 1e160])
+    def test_samples_whose_energy_products_overflow_rejected(self, params, amplitude):
+        # before: 5 of 40 frames voiced, at 50 to 200 Hz, with 37 overflow
+        # warnings (1e76), or all 40 voiced at 50 Hz (1e160)
+        with pytest.raises(ValueError, match="magnitude at most 5.44e\\+75"):
+            estimate_f0(_sine(200.0, 0.2, params.sample_rate, amp=amplitude), params)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflow_limit_is_inclusive(self, params, sign):
+        # pulses at the limit itself give finite products; one ulp more is refused
+        limit = (np.finfo(np.float64).max / (320 * (320 + 320))) ** 0.25
+        samples = np.zeros(1600)
+        samples[::100] = sign * limit
+        f0, vuv = _assert_matches_oracle(samples, params)
+        assert np.all(np.abs(f0[vuv] - 160.0) <= 2.0) and vuv.any()
+        samples[700] = sign * np.nextafter(limit, np.inf)
+        with pytest.raises(ValueError, match="magnitude at most"):
+            estimate_f0(Waveform(samples, params.sample_rate), params)
 
     @pytest.mark.parametrize("rate", [400, 499])
     def test_sample_rate_below_f0_max_rejected(self, rate):
@@ -183,6 +272,14 @@ class TestMcepAnalysis:
     def test_dimension_mismatch(self, params):
         with pytest.raises(ValueError):
             mcep_analysis(np.zeros(100), params)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("frames", [(), (2,)])
+    def test_non_finite_spectra_rejected(self, params, bad, frames):
+        las = np.zeros(frames + (params.num_bins,))
+        las[..., 3] = bad
+        with pytest.raises(ValueError, match="log spectra must be finite"):
+            mcep_analysis(las, params)
 
     def test_needs_41_bins(self):
         p = AnalysisParams(frame_len=64, frame_shift=16, fft_size=64)
