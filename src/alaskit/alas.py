@@ -64,14 +64,17 @@ def filter_spectrum(mcep_with_energy: np.ndarray, params: AnalysisParams) -> np.
     Each coefficient vector (energy first, last axis) is zero-padded to K,
     unwarped to linear frequency, mirrored to an even sequence and Fourier
     transformed; exponentiation yields strictly positive length-K spectra.
-    Coefficients whose log spectrum exceeds 709.78 anywhere, where the
-    exponential overflows, are a ValueError.
+    Non-finite coefficients, and coefficients whose log spectrum exceeds
+    709.78 anywhere, where the exponential overflows, are a ValueError.
     """
     coeffs = np.asarray(mcep_with_energy, dtype=np.float64)
     k = params.num_bins
     if coeffs.ndim == 0 or coeffs.shape[-1] > k:
         raise ValueError(f"coefficient vectors must have at most {k} entries")
-    log_filter = coeffs @ _log_filter_map(params)[: coeffs.shape[-1]]
+    if not np.isfinite(coeffs).all():
+        raise ValueError("mel-cepstra must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # the result is checked below
+        log_filter = coeffs @ _log_filter_map(params)[: coeffs.shape[-1]]
     if not (log_filter <= _EXP_MAX).all():  # also false for NaN
         raise ValueError(f"mel-cepstra too large: their log filter spectrum exceeds {_EXP_MAX}, "
                          "where exp overflows")

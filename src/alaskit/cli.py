@@ -26,11 +26,36 @@ _PARAM_FLAGS = (  # analysis flag, AnalysisParams field, type
     ("log-floor", "log_floor", float),
 )
 
+# the commands that take the analysis flags and check them against their inputs' headers
+_ANALYSIS_COMMANDS = ("analyze", "recover", "evaluate", "resynth")
 
-def _add_param_flags(parser):
-    group = parser.add_argument_group("analysis parameters")
-    for flag, field, kind in _PARAM_FLAGS:
-        group.add_argument(f"--{flag}", dest=field, type=kind, default=None)
+# input kind by file extension: what _read reads, what evaluate infers and its kind flags
+_KINDS = {".wav": "wav", ".lask": "las", ".aftk": "feat"}
+
+# each metric (a function of metrics and an EvalReport field) by the input kind it compares
+_METRICS = {"snr_db": "wav", "las_rmse_db": "las", "mcd_v_db": "feat",
+            "f0_rmse_cent": "feat", "vuv_error_pct": "feat"}
+
+
+def _read(path, kind):
+    """The data of ``path`` read as ``kind`` (a _KINDS value) and its
+    (path, frame shift, sample rate) header; a WAV stores no frame shift."""
+    if kind == "wav":
+        wave = io.read_wav(path)
+        return wave, (path, None, wave.sample_rate)
+    if kind == "las":
+        las, frame_shift, sample_rate = io.read_las_file(path)
+        return las, (path, frame_shift, sample_rate)
+    track = io.read_feature_file(path)
+    return track, (path, track.frame_shift, track.sample_rate)
+
+
+def _kind(path) -> str:
+    name = str(path).lower()
+    for extension, kind in _KINDS.items():
+        if name.endswith(extension):
+            return kind
+    raise ValueError(f"cannot infer input kind of {path}; pass --wav, --las or --feat")
 
 
 def _agreed(args, *headers) -> dict:
@@ -56,19 +81,25 @@ def _resolve_params(args, *headers) -> dsp.AnalysisParams:
     return dsp.AnalysisParams(**_agreed(args, *headers))
 
 
+def _analysis(params, *waves):
+    """The LAS of each wave, then the feature track of each, taken from its LAS."""
+    las = [dsp.extract_las(wave, params) for wave in waves]
+    return las, [features._track_from_las(w, spectra, params) for w, spectra in zip(waves, las)]
+
+
 def _cmd_analyze(args):
-    wave = io.read_wav(args.input)
-    params = _resolve_params(args, (args.input, None, wave.sample_rate))
-    las = dsp.extract_las(wave, params)
-    io.write_feature_file(args.output, features._track_from_las(wave, las, params))
+    wave, header = _read(args.input, "wav")
+    params = _resolve_params(args, header)
+    (las,), (track,) = _analysis(params, wave)
+    io.write_feature_file(args.output, track)
     if args.las:
         io.write_las_file(args.las, las, params.frame_shift, params.sample_rate)
     return 0
 
 
 def _cmd_recover(args):
-    track = io.read_feature_file(args.input)
-    params = _resolve_params(args, (args.input, track.frame_shift, track.sample_rate))
+    track, header = _read(args.input, "feat")
+    params = _resolve_params(args, header)
     recovered = alas.recover_alas(track, params)
     io.write_las_file(args.output, recovered, params.frame_shift, params.sample_rate)
     return 0
@@ -84,9 +115,9 @@ def _cmd_refine_fit(args):
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ValueError(f"{args.manifest}:{line_no}: expected '<alas>\\t<las>'")
-            (alas, *alas_geometry), (las, *las_geometry) = map(io.read_las_file, parts)
-            headers += [(parts[0], *alas_geometry), (parts[1], *las_geometry)]
-            pairs.append((alas, las))
+            pair, pair_headers = zip(*(_read(part, "las") for part in parts))
+            pairs.append(pair)
+            headers += pair_headers
     _agreed(args, *headers)
     model = refine.fit_refiner(pairs, context_radius=args.context_radius)
     refine.save_refiner(model, args.output)
@@ -95,49 +126,25 @@ def _cmd_refine_fit(args):
 
 def _cmd_refine_apply(args):
     model = refine.load_refiner(args.model)
-    las, frame_shift, sample_rate = io.read_las_file(args.input)
+    las, (_, frame_shift, sample_rate) = _read(args.input, "las")
     io.write_las_file(args.output, refine.apply_refiner(model, las), frame_shift, sample_rate)
     return 0
 
 
 def _cmd_evaluate(args):
-    mode = args.mode or _infer_mode(args.ref)
-    if mode == "wav":
-        ref_wave = io.read_wav(args.ref)
-        test_wave = io.read_wav(args.test)
-        params = _resolve_params(args, (args.ref, None, ref_wave.sample_rate),
-                                 (args.test, None, test_wave.sample_rate))
-        ref_las = dsp.extract_las(ref_wave, params)
-        test_las = dsp.extract_las(test_wave, params)
-        ref_track = features._track_from_las(ref_wave, ref_las, params)
-        test_track = features._track_from_las(test_wave, test_las, params)
-        report = metrics.EvalReport(
-            frames_compared=min(ref_las.shape[0], test_las.shape[0]),
-            snr_db=metrics.snr_db(ref_wave, test_wave),
-            las_rmse_db=metrics.las_rmse_db(ref_las, test_las),
-            mcd_v_db=metrics.mcd_v_db(ref_track, test_track),
-            f0_rmse_cent=metrics.f0_rmse_cent(ref_track, test_track),
-            vuv_error_pct=metrics.vuv_error_pct(ref_track, test_track),
-        )
-    elif mode == "las":
-        ref_las, *ref_geometry = io.read_las_file(args.ref)
-        test_las, *test_geometry = io.read_las_file(args.test)
-        _resolve_params(args, (args.ref, *ref_geometry), (args.test, *test_geometry))
-        report = metrics.EvalReport(
-            frames_compared=min(ref_las.shape[0], test_las.shape[0]),
-            las_rmse_db=metrics.las_rmse_db(ref_las, test_las),
-        )
-    else:
-        ref_track = io.read_feature_file(args.ref)
-        test_track = io.read_feature_file(args.test)
-        _resolve_params(args, (args.ref, ref_track.frame_shift, ref_track.sample_rate),
-                        (args.test, test_track.frame_shift, test_track.sample_rate))
-        report = metrics.EvalReport(
-            frames_compared=min(len(ref_track), len(test_track)),
-            mcd_v_db=metrics.mcd_v_db(ref_track, test_track),
-            f0_rmse_cent=metrics.f0_rmse_cent(ref_track, test_track),
-            vuv_error_pct=metrics.vuv_error_pct(ref_track, test_track),
-        )
+    kind = args.mode or _kind(args.ref)
+    (ref, ref_header), (test, test_header) = _read(args.ref, kind), _read(args.test, kind)
+    params = _resolve_params(args, ref_header, test_header)
+    # (ref, test) per input kind; WAVs are analysed into the other two kinds
+    pairs = dict.fromkeys(_KINDS.values())
+    pairs[kind] = ref, test
+    if kind == "wav":
+        pairs["las"], pairs["feat"] = _analysis(params, ref, test)
+    report = metrics.EvalReport(
+        frames_compared=min(map(len, pairs["las"] or pairs["feat"])),
+        **{name: getattr(metrics, name)(*pairs[source])
+           for name, source in _METRICS.items() if pairs[source]},
+    )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(report.text())
@@ -145,28 +152,15 @@ def _cmd_evaluate(args):
     return 0
 
 
-def _infer_mode(path) -> str:
-    name = str(path).lower()
-    if name.endswith(".wav"):
-        return "wav"
-    if name.endswith(".lask"):
-        return "las"
-    if name.endswith(".aftk"):
-        return "feat"
-    raise ValueError(f"cannot infer input kind of {path}; pass --wav, --las or --feat")
-
-
 def _cmd_resynth(args):
-    las, *geometry = io.read_las_file(args.input)
-    params = _resolve_params(args, (args.input, *geometry))
-    wave = dsp.griffin_lim(las, params, iters=args.iters)
+    las, header = _read(args.input, "las")
+    wave = dsp.griffin_lim(las, _resolve_params(args, header), iters=args.iters)
     io.write_wav(args.output, wave)
     return 0
 
 
 def _cmd_plot(args):
-    las = io.read_las_file(args.input)[0]
-    io.emit_spectrogram_image(las, args.output)
+    io.emit_spectrogram_image(_read(args.input, "las")[0], args.output)
     return 0
 
 
@@ -174,54 +168,40 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="alaskit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("analyze", help="extract acoustic features (and optionally LAS) from a WAV")
-    p.add_argument("input")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--las", default=None, help="also write the natural LAS here")
-    _add_param_flags(p)
-    p.set_defaults(func=_cmd_analyze)
+    def command(name, func, help, *inputs, output=True):
+        """Subparser ``name`` running ``func`` on positional ``inputs``, with a
+        required -o unless ``output`` is false."""
+        p = sub.add_parser(name, help=help)
+        for input_name in inputs:
+            p.add_argument(input_name)
+        if output:
+            p.add_argument("-o", "--output", required=True)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("recover", help="recover approximate LAS from a feature file")
-    p.add_argument("input")
-    p.add_argument("-o", "--output", required=True)
-    _add_param_flags(p)
-    p.set_defaults(func=_cmd_recover)
-
-    p = sub.add_parser("refine-fit", help="fit a per-bin refiner from a pairs manifest")
-    p.add_argument("manifest")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--context-radius", type=int, default=0)
-    p.set_defaults(func=_cmd_refine_fit)
-
-    p = sub.add_parser("refine-apply", help="apply a fitted refiner to a LAS file")
-    p.add_argument("model")
-    p.add_argument("input")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_refine_apply)
-
-    p = sub.add_parser("evaluate", help="objective metrics between a reference and a test input")
+    command("analyze", _cmd_analyze, "extract acoustic features (and optionally LAS) from a WAV",
+            "input").add_argument("--las", default=None, help="also write the natural LAS here")
+    command("recover", _cmd_recover, "recover approximate LAS from a feature file", "input")
+    command("refine-fit", _cmd_refine_fit, "fit a per-bin refiner from a pairs manifest",
+            "manifest").add_argument("--context-radius", type=int, default=0)
+    command("refine-apply", _cmd_refine_apply, "apply a fitted refiner to a LAS file",
+            "model", "input")
+    p = command("evaluate", _cmd_evaluate,
+                "objective metrics between a reference and a test input", output=False)
     p.add_argument("--ref", required=True)
     p.add_argument("--test", required=True)
-    kind = p.add_mutually_exclusive_group()
-    kind.add_argument("--wav", dest="mode", action="store_const", const="wav")
-    kind.add_argument("--las", dest="mode", action="store_const", const="las")
-    kind.add_argument("--feat", dest="mode", action="store_const", const="feat")
+    kinds = p.add_mutually_exclusive_group()
+    for kind in _KINDS.values():
+        kinds.add_argument(f"--{kind}", dest="mode", action="store_const", const=kind)
     p.add_argument("-o", "--output", default=None)
-    _add_param_flags(p)
-    p.set_defaults(func=_cmd_evaluate, mode=None)
+    command("resynth", _cmd_resynth, "Griffin-Lim resynthesis of a LAS file to WAV",
+            "input").add_argument("--iters", type=int, default=60)
+    command("plot", _cmd_plot, "write a PGM spectrogram of a LAS file", "input")
 
-    p = sub.add_parser("resynth", help="Griffin-Lim resynthesis of a LAS file to WAV")
-    p.add_argument("input")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--iters", type=int, default=60)
-    _add_param_flags(p)
-    p.set_defaults(func=_cmd_resynth)
-
-    p = sub.add_parser("plot", help="write a PGM spectrogram of a LAS file")
-    p.add_argument("input")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_plot)
-
+    for name in _ANALYSIS_COMMANDS:
+        group = sub.choices[name].add_argument_group("analysis parameters")
+        for flag, field, kind in _PARAM_FLAGS:
+            group.add_argument(f"--{flag}", dest=field, type=kind, default=None)
     return parser
 
 

@@ -216,7 +216,7 @@ def warp_cepstrum(m: np.ndarray, alpha: float) -> np.ndarray:
     and returns [c1(1), ..., cK(1)]. The scheme is linear, so it is applied
     as a cached matrix product; alpha and -alpha are inverse warps for
     inputs whose warped image fits the vector length. The vectors must be
-    finite.
+    finite, and so must their warp.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim == 0 or m.shape[-1] == 0:
@@ -227,7 +227,11 @@ def warp_cepstrum(m: np.ndarray, alpha: float) -> np.ndarray:
         raise ValueError(f"alpha must be finite with |alpha| < 1, got {alpha}")
     if alpha == 0.0:
         return m.copy()
-    return m @ _warp_matrix(m.shape[-1], float(alpha)).T
+    with np.errstate(over="ignore", invalid="ignore"):  # the result is checked below
+        warped = m @ _warp_matrix(m.shape[-1], float(alpha)).T
+    if not np.isfinite(warped).all():
+        raise ValueError("cepstral vectors too large: their warp overflows")
+    return warped
 
 
 def _check_las(las, bins: int | None = None) -> np.ndarray:

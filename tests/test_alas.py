@@ -26,6 +26,7 @@ from alaskit import (
     window_spectrum,
 )
 from alaskit.alas import _log_filter_map
+from alaskit.dsp import _warp_matrix
 
 # Batched recover_alas against the per-frame oracle: the maps reorder the
 # float64 sums, which moves linear magnitudes by a few ulps of the frame
@@ -230,6 +231,15 @@ class TestWarpCepstrum:
         with pytest.raises(ValueError, match="cepstral vectors must be finite"):
             warp_cepstrum(np.array([[0.0, 1.0], [1.0, bad]]), alpha)
 
+    def test_overflowing_warp_rejected(self):
+        # before: inf out, with a matmul overflow warning
+        large = np.full(257, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(warp_cepstrum(large, 0.42), large @ _warp_matrix(257, 0.42).T)
+            with pytest.raises(ValueError, match="cepstral vectors too large"):
+                warp_cepstrum(np.full(257, 1.7e308), 0.42)
+
     @pytest.mark.parametrize("alpha", [0.42, -0.42, 0.7])
     @pytest.mark.parametrize("nonzero", [41, 257])
     def test_matches_scalar_recursion(self, alpha, nonzero):
@@ -280,6 +290,23 @@ class TestFilterSpectrum:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="mel-cepstra too large"):
+                filter_spectrum(coeffs, params)
+
+    def test_overflowing_log_filter_rejected(self, params):
+        # before: a matmul overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mel-cepstra too large"):
+                filter_spectrum(np.full(41, 1e308), params)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficients_rejected(self, params, bad):
+        # before: NaN was "mel-cepstra too large", ±inf a matmul warning
+        coeffs = np.zeros((3, 41))
+        coeffs[1, 5] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mel-cepstra must be finite"):
                 filter_spectrum(coeffs, params)
 
     def test_largest_finite_exp_accepted(self, params):

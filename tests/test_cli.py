@@ -157,6 +157,20 @@ def test_evaluate_feature_mode(tmp_path, utterance_wav):
     assert "snr_db" not in values
 
 
+def test_evaluate_infers_kind_from_upper_case_extension(tmp_path, capsys):
+    path = tmp_path / "in.LASK"
+    write_las_file(path, np.zeros((5, 257)), 80, 16000)
+    assert cli.main(["evaluate", "--ref", str(path), "--test", str(path)]) == 0
+    assert "las_rmse_db = 0.000000" in capsys.readouterr().out
+
+
+def test_evaluate_reads_both_inputs_as_the_inferred_kind(tmp_path, capsys, utterance_wav):
+    las, feat = tmp_path / "x.lask", tmp_path / "y.aftk"
+    assert cli.main(["analyze", str(utterance_wav), "-o", str(feat), "--las", str(las)]) == 0
+    assert cli.main(["evaluate", "--ref", str(las), "--test", str(feat)]) == 2
+    assert "bad magic" in capsys.readouterr().err
+
+
 def test_evaluate_unknown_extension_exits_two(tmp_path):
     mystery = tmp_path / "data.bin"
     mystery.write_bytes(b"\x00")
@@ -286,6 +300,38 @@ def test_refine_fit_rejects_mixed_geometry(tmp_path):
     manifest.write_text("".join(lines))
     assert cli.main(["refine-fit", str(manifest), "-o", str(tmp_path / "m.alrf")]) == 2
     assert not (tmp_path / "m.alrf").exists()
+
+
+@pytest.mark.parametrize("line", ["a.lask", "a.lask\tb.lask\tc.lask"], ids=["1-field", "3-field"])
+def test_refine_fit_rejects_malformed_manifest_line(tmp_path, capsys, line):
+    path = tmp_path / "x.lask"
+    write_las_file(path, np.zeros((5, 257)), 80, 16000)
+    manifest = tmp_path / "pairs.txt"
+    manifest.write_text(f"{path}\t{path}\n\n{line}\n")
+    model = tmp_path / "m.alrf"
+    assert cli.main(["refine-fit", str(manifest), "-o", str(model)]) == 2
+    assert f"{manifest}:3: expected" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_refine_fit_skips_blank_lines(tmp_path):
+    path = tmp_path / "x.lask"
+    write_las_file(path, np.zeros((5, 257)), 80, 16000)
+    manifest = tmp_path / "pairs.txt"
+    manifest.write_text(f"\n{path}\t{path}\n  \n\n{path}\t{path}\n\n")
+    model = tmp_path / "m.alrf"
+    assert cli.main(["refine-fit", str(manifest), "-o", str(model)]) == 0
+    assert alaskit.load_refiner(model).num_bins == 257
+
+
+def test_refine_fit_checks_agreement_only(tmp_path):
+    # a frame shift of 400 exceeds the default frame length: refine-fit checks
+    # that its files agree and builds no analysis parameters from them
+    path = tmp_path / "x.lask"
+    write_las_file(path, np.zeros((5, 257)), 400, 16000)
+    manifest = tmp_path / "pairs.txt"
+    manifest.write_text(f"{path}\t{path}\n")
+    assert cli.main(["refine-fit", str(manifest), "-o", str(tmp_path / "m.alrf")]) == 0
 
 
 @pytest.mark.parametrize("radius, code", [(4294967296, 2), (-1, 2), (4294967295, 0)])
