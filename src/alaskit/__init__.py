@@ -19,7 +19,6 @@ from .dsp import (
     frame_signal,
     griffin_lim,
     hann_window,
-    magnitude_error,
     mirror_full_spectrum,
     warp_cepstrum,
 )

@@ -119,7 +119,7 @@ def _cmd_refine_fit(args):
             pairs.append(pair)
             headers += pair_headers
     _agreed(args, *headers)
-    model = refine.fit_refiner(pairs, context_radius=args.context_radius)
+    model = refine.fit_refiner(pairs)
     refine.save_refiner(model, args.output)
     return 0
 
@@ -183,7 +183,7 @@ def _build_parser() -> _Parser:
             "input").add_argument("--las", default=None, help="also write the natural LAS here")
     command("recover", _cmd_recover, "recover approximate LAS from a feature file", "input")
     command("refine-fit", _cmd_refine_fit, "fit a per-bin refiner from a pairs manifest",
-            "manifest").add_argument("--context-radius", type=int, default=0)
+            "manifest")
     command("refine-apply", _cmd_refine_apply, "apply a fitted refiner to a LAS file",
             "model", "input")
     p = command("evaluate", _cmd_evaluate,

@@ -248,14 +248,6 @@ def _check_las(las, bins: int | None = None) -> np.ndarray:
 _EXP_MAX = 709.78  # exp overflows above ~709.7827
 
 
-def _las_magnitudes(las: np.ndarray, params: AnalysisParams) -> np.ndarray:
-    """exp(las), for a _check_las LAS of ``params.num_bins`` bins with finite exp."""
-    las = _check_las(las, params.num_bins)
-    if las.max() > _EXP_MAX:
-        raise ValueError(f"LAS values must be at most {_EXP_MAX} (exp(las) must be finite)")
-    return np.exp(las)
-
-
 def _overlap_add(frames: np.ndarray, shift: int, out: np.ndarray | None = None) -> np.ndarray:
     """Overlap-add of (n, length) frames on the ``shift`` grid: the
     (n-1)*shift + length samples to which frame i adds from sample i*shift,
@@ -324,11 +316,14 @@ def griffin_lim(las: np.ndarray, params: AnalysisParams, iters: int = 60,
     momentum step stay on the calling thread. Each row's arithmetic is the
     same either way, so the output does not depend on the CPU count.
     """
-    magnitudes = _las_magnitudes(las, params)
+    las = _check_las(las, params.num_bins)
+    if las.max() > _EXP_MAX:
+        raise ValueError(f"LAS values must be at most {_EXP_MAX} (exp(las) must be finite)")
     if _integer("iters", iters) < 1:
         raise ValueError("iters must be >= 1")
     if not 0.0 <= momentum <= 1.0:  # false for NaN
         raise ValueError(f"momentum must be in [0, 1], got {momentum}")
+    magnitudes = np.exp(las)
     n, length, shift = magnitudes.shape[0], params.frame_len, params.frame_shift
     window = hann_window(length)
     norm = _overlap_add(np.broadcast_to(window * window, (n, length)), shift)
@@ -382,17 +377,3 @@ def griffin_lim(las: np.ndarray, params: AnalysisParams, iters: int = 60,
     signal = _overlap_add(full[:, :length], shift, out=previous)
     signal /= norm
     return Waveform(signal / max(1.0, np.max(np.abs(signal))), params.sample_rate)
-
-
-def magnitude_error(signal: Waveform, las: np.ndarray, params: AnalysisParams) -> float:
-    """Frobenius distance between |STFT(signal)| and the target exp(las).
-
-    The STFT has las.shape[0] frames: a signal shorter than they span is
-    zero-padded, a longer one truncated. The signal must be at
-    ``params.sample_rate``; the LAS is checked as in griffin_lim.
-    """
-    target = _las_magnitudes(las, params)
-    _check_sample_rate(signal, params)
-    frames = _frames(signal.samples, target.shape[0], params.frame_len, params.frame_shift)
-    got = np.abs(np.fft.rfft(frames * hann_window(params.frame_len), n=params.fft_size, axis=1))
-    return float(math.sqrt(np.sum((got - target) ** 2)))

@@ -33,6 +33,8 @@ class EvalReport:
     def __post_init__(self):
         if self.frames_compared <= 0:
             raise ValueError("frames_compared must be positive")
+        if self.snr_db is not None and not -math.inf < self.snr_db <= math.inf:  # false for NaN
+            raise ValueError("snr_db must be finite or math.inf")
         for name in ("las_rmse_db", "mcd_v_db", "f0_rmse_cent", "vuv_error_pct"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -63,7 +65,7 @@ def snr_db(ref: Waveform, test: Waveform) -> float:
     """Signal-to-noise ratio 10*log10(sum ref^2 / sum (ref-test)^2), in dB.
 
     Signals are truncated to the shorter length; identical signals report
-    math.inf.
+    math.inf. Energies past the float64 range are a ValueError.
     """
     if ref.sample_rate != test.sample_rate:
         raise ValueError("sample rate mismatch")
@@ -72,42 +74,60 @@ def snr_db(ref: Waveform, test: Waveform) -> float:
         raise ValueError("empty signal")
     r = ref.samples[:n]
     t = test.samples[:n]
-    signal = float(r @ r)
+    with np.errstate(over="ignore"):  # the energies are checked below
+        signal = float(r @ r)
+        noise = float((r - t) @ (r - t))
+    if not math.isfinite(signal + noise):
+        raise ValueError("signal energies overflow the float64 range")
     if signal <= 0.0:
         raise ValueError("zero reference energy")
-    noise = float((r - t) @ (r - t))
     if noise == 0.0:
         return math.inf
-    return 10.0 * math.log10(signal / noise)
+    ratio = signal / noise
+    if 0.0 < ratio < math.inf:
+        return 10.0 * math.log10(ratio)
+    return 10.0 * (math.log10(signal) - math.log10(noise))  # the ratio leaves the float64 range
 
 
 def las_rmse_db(ref: np.ndarray, test: np.ndarray) -> float:
     """RMSE between two log spectra matrices, measured in dB."""
     ref = _check_las(ref)
     ref, test = _truncate_rows(ref, _check_las(test, ref.shape[1]))
-    diff = DB_PER_LOG * (ref - test)
-    return float(np.sqrt(np.mean(diff * diff)))
+    with np.errstate(over="ignore"):  # the result is checked
+        diff = DB_PER_LOG * (ref - test)
+        return _finite("las_rmse_db", np.sqrt(np.mean(diff * diff)))
 
 
 def mcd_v_db(ref: FeatureTrack, test: FeatureTrack) -> float:
     """Mel-cepstral distortion over commonly voiced frames, energy excluded."""
     both = _common_voiced(ref, test)
-    diff = ref.mcep[both, 1:] - test.mcep[both, 1:]
-    per_frame = _MCD_SCALE * np.sqrt(2.0 * np.sum(diff * diff, axis=1))
-    return float(per_frame.mean())
+    with np.errstate(over="ignore"):  # the result is checked
+        diff = ref.mcep[both, 1:] - test.mcep[both, 1:]
+        per_frame = _MCD_SCALE * np.sqrt(2.0 * np.sum(diff * diff, axis=1))
+        return _finite("mcd_v_db", per_frame.mean())
 
 
 def f0_rmse_cent(ref: FeatureTrack, test: FeatureTrack) -> float:
     """RMSE of the F0 ratio in cents over commonly voiced frames."""
     both = _common_voiced(ref, test)
-    cents = 1200.0 * np.log2(test.f0[both] / ref.f0[both])
-    return float(np.sqrt(np.mean(cents * cents)))
+    with np.errstate(over="ignore", divide="ignore"):  # the result is checked
+        cents = 1200.0 * np.log2(test.f0[both] / ref.f0[both])
+        return _finite("f0_rmse_cent", np.sqrt(np.mean(cents * cents)))
 
 
 def vuv_error_pct(ref: FeatureTrack, test: FeatureTrack) -> float:
     """Percentage of frames whose voicing flags disagree."""
     ref_v, test_v = _truncate_rows(ref.vuv, test.vuv)
     return 100.0 * float(np.mean(ref_v != test_v))
+
+
+def _finite(name: str, value) -> float:
+    """``value`` as a float if it is finite, else a ValueError: the metric
+    ``name`` of inputs this far apart lies past the float64 range."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} overflows the float64 range: the inputs are too far apart")
+    return value
 
 
 def _truncate_rows(a, b, stacklevel=3):

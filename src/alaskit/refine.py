@@ -1,23 +1,20 @@
 """Data-driven refinement of recovered log spectra.
 
 A per-bin affine correction (gain and bias per frequency bin) fitted by
-ordinary least squares on paired (recovered, natural) matrices, with an
-optional moving-average context window over frames.
+ordinary least squares on paired (recovered, natural) matrices.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import _check_las, _integer, _read_only_float64
+from .dsp import _check_las, _read_only_float64
 from .io import _REFINER_MAGIC, _payload_rows, _read_container, _write_container
-
-_RADIUS_MAX = 0xFFFFFFFF  # the header stores the context radius as a u32
 
 
 @dataclass(frozen=True, eq=False)
 class RefinerModel:
-    """Per-bin gain/bias in log units, plus a temporal smoothing radius.
+    """Per-bin gain/bias in log units.
 
     ``gain`` and ``bias`` are stored as read-only float64 views of what was
     given, so they share memory with a float64 array passed in (which stays
@@ -26,7 +23,6 @@ class RefinerModel:
 
     gain: np.ndarray
     bias: np.ndarray
-    context_radius: int = 0
 
     def __post_init__(self):
         for name in ("gain", "bias"):
@@ -35,34 +31,21 @@ class RefinerModel:
             raise ValueError("gain and bias must be non-empty 1-D arrays of equal length")
         if not (np.all(np.isfinite(self.gain)) and np.all(np.isfinite(self.bias))):
             raise ValueError("model parameters must be finite")
-        object.__setattr__(self, "context_radius", _context_radius(self.context_radius))
 
     @property
     def num_bins(self) -> int:
         return self.gain.size
 
 
-def _context_radius(value) -> int:
-    """``value`` as an int in [0, _RADIUS_MAX], else a ValueError."""
-    radius = _integer("context_radius", value)
-    if not 0 <= radius <= _RADIUS_MAX:
-        raise ValueError(f"context_radius must be in [0, {_RADIUS_MAX}], got {radius}")
-    return radius
-
-
-def fit_refiner(pairs, context_radius: int = 0) -> RefinerModel:
+def fit_refiner(pairs) -> RefinerModel:
     """Least-squares per-bin affine fit of natural LAS against recovered LAS.
 
     ``pairs`` is a sequence of (recovered, natural) LAS matrices, each 2-D
     with at least one frame and finite, with matching shapes and one bin
-    count. The recovered side is first smoothed over
-    +-context_radius frames, as :func:`apply_refiner` does; smoothing is
-    linear with unit row sums, so the fit is least-squares for what is
-    applied. Bins whose recovered values are (numerically) constant get
+    count. Bins whose recovered values are (numerically) constant get
     gain 1 and the mean residual as bias. Statistics are accumulated pair
     by pair, in two passes: means, then centred moments.
     """
-    context_radius = _context_radius(context_radius)
     pairs = list(pairs)
     if not pairs:
         raise ValueError("no training pairs")
@@ -78,18 +61,13 @@ def fit_refiner(pairs, context_radius: int = 0) -> RefinerModel:
                              f"got {np.shape(recovered)} after {np.shape(pairs[0][0])}")
         checked.append((_check_las(recovered), _check_las(natural)))
     count = sum(recovered.shape[0] for recovered, _ in checked)
-
-    def smoothed_pairs():
-        for x, y in checked:
-            yield (_moving_average(x, context_radius) if context_radius > 0 else x), y
-
     x_sum = y_sum = 0.0
-    for x, y in smoothed_pairs():
+    for x, y in checked:
         x_sum += x.sum(axis=0)
         y_sum += y.sum(axis=0)
     x_mean, y_mean = x_sum / count, y_sum / count
     x_sq = xy = 0.0
-    for x, y in smoothed_pairs():
+    for x, y in checked:
         dx = x - x_mean
         x_sq += np.einsum("ij,ij->j", dx, dx)
         xy += np.einsum("ij,ij->j", dx, y - y_mean)
@@ -98,45 +76,36 @@ def fit_refiner(pairs, context_radius: int = 0) -> RefinerModel:
     safe_var = np.where(degenerate, 1.0, x_var)
     gain = np.where(degenerate, 1.0, covariance / safe_var)
     bias = y_mean - gain * x_mean
-    return RefinerModel(gain=gain, bias=bias, context_radius=context_radius)
+    return RefinerModel(gain=gain, bias=bias)
 
 
 def apply_refiner(model: RefinerModel, alas: np.ndarray) -> np.ndarray:
-    """Apply the per-bin correction, then the optional frame smoothing. A
-    model whose gains or biases take a value past the float64 range is a
-    ValueError."""
+    """Apply the per-bin correction. A model whose gains or biases take a
+    value past the float64 range is a ValueError."""
     alas = _check_las(alas, model.num_bins)
     with np.errstate(over="ignore", invalid="ignore"):  # the result is checked below
         out = alas * model.gain + model.bias
-        if model.context_radius > 0:
-            out = _moving_average(out, model.context_radius)
     if not np.isfinite(out).all():
         raise ValueError("the refiner's gains or biases take the LAS past the float64 range")
     return out
 
 
-def _moving_average(values: np.ndarray, radius: int) -> np.ndarray:
-    """Mean over +-radius frames, truncated at the matrix edges."""
-    n = values.shape[0]
-    csum = np.vstack([np.zeros((1, values.shape[1])), np.cumsum(values, axis=0)])
-    idx = np.arange(n)
-    lo = np.maximum(idx - radius, 0)
-    hi = np.minimum(idx + radius, n - 1) + 1
-    return (csum[hi] - csum[lo]) / (hi - lo)[:, None]
-
-
 def save_refiner(model: RefinerModel, path) -> None:
     """Write the model as a container (magic ALRF) whose header fields are
-    the bin count and the context radius, and whose payload is the gains,
-    then the biases, as float64."""
-    _write_container(path, _REFINER_MAGIC,
-                     dict(bins=model.num_bins, context_radius=model.context_radius),
+    the bin count and 0, and whose payload is the gains, then the biases,
+    as float64."""
+    _write_container(path, _REFINER_MAGIC, dict(bins=model.num_bins, context_radius=0),
                      np.array([model.gain, model.bias], dtype="<f8"))
 
 
 def load_refiner(path) -> RefinerModel:
     """Read a model written by :func:`save_refiner`, with the checks every
-    container reader makes."""
+    container reader makes. A nonzero second header field is a context
+    radius: that model was fitted on frame-smoothed input, which this
+    refiner does not apply, so it is a ValueError."""
     (bins, radius), payload = _read_container(path, _REFINER_MAGIC, 2)
+    if radius:
+        raise ValueError(f"{path} was fitted with context radius {radius}, which is no longer "
+                         f"supported; refit it with refine-fit")
     gain, bias = _payload_rows(path, payload, 2, bins, "<f8")
-    return RefinerModel(gain=gain, bias=bias, context_radius=radius)
+    return RefinerModel(gain=gain, bias=bias)

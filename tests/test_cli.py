@@ -219,6 +219,19 @@ def test_refine_apply_zero_bin_model_names_the_model(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_refine_apply_context_radius_model_exits_two(tmp_path, capsys):
+    las = tmp_path / "in.lask"
+    write_las_file(las, np.zeros((5, 257)), 80, 16000)
+    model = tmp_path / "smoothed.alrf"
+    rawfiles.write_refiner(model, np.ones(257), np.zeros(257), context_radius=2)
+    out = tmp_path / "out.lask"
+    assert cli.main(["refine-apply", str(model), str(las), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"alaskit: error: {model} was fitted with context radius 2" in err
+    assert "refit it with refine-fit" in err
+    assert not out.exists()
+
+
 def test_recover_huge_mcep_exits_two(tmp_path):
     mcep = np.zeros((5, 41))
     mcep[1, 3] = 1e30
@@ -334,19 +347,16 @@ def test_refine_fit_checks_agreement_only(tmp_path):
     assert cli.main(["refine-fit", str(manifest), "-o", str(tmp_path / "m.alrf")]) == 0
 
 
-@pytest.mark.parametrize("radius, code", [(4294967296, 2), (-1, 2), (4294967295, 0)])
-def test_refine_fit_context_radius_fits_the_model_header(tmp_path, radius, code):
-    # .alrf stores the radius as a u32; past it nothing may be written
+def test_refine_fit_context_radius_is_a_usage_error(tmp_path):
     path = tmp_path / "x.lask"
     write_las_file(path, np.zeros((5, 257)), 80, 16000)
     manifest = tmp_path / "pairs.txt"
     manifest.write_text(f"{path}\t{path}\n")
     model = tmp_path / "m.alrf"
-    argv = ["refine-fit", str(manifest), "-o", str(model), "--context-radius", str(radius)]
-    assert cli.main(argv) == code
-    assert model.exists() == (code == 0)
-    if code == 0:
-        assert alaskit.load_refiner(model).context_radius == radius
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["refine-fit", str(manifest), "-o", str(model), "--context-radius", "1"])
+    assert excinfo.value.code == 1
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("rate, code", [(400, 2), (499, 2), (500, 0)])

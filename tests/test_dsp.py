@@ -26,7 +26,6 @@ from alaskit import (
     griffin_lim,
     hann_window,
     las_rmse_db,
-    magnitude_error,
     mirror_full_spectrum,
 )
 from alaskit import dsp
@@ -258,6 +257,11 @@ class TestMirrorFullSpectrum:
             mirror_full_spectrum(half, 512)
 
 
+def _magnitude_error(signal, las, params):
+    """Frobenius distance between |STFT(signal)| over las.shape[0] frames and exp(las)."""
+    return np.linalg.norm(np.exp(extract_las(signal, params)[: len(las)]) - np.exp(las))
+
+
 class TestGriffinLim:
     def test_sine_peak_recovered(self, params, sine_1khz):
         las = extract_las(sine_1khz, params)
@@ -278,7 +282,7 @@ class TestGriffinLim:
         # peak, so the returned waveform is the raw alternating-projection state
         las = extract_las(sine_1khz, params) + math.log(0.05)
         errors = [
-            magnitude_error(griffin_lim(las, params, iters=n, momentum=0.0), las, params)
+            _magnitude_error(griffin_lim(las, params, iters=n, momentum=0.0), las, params)
             for n in (1, 5, 30)
         ]
         assert errors[0] >= errors[1] >= errors[2]
@@ -289,7 +293,7 @@ class TestGriffinLim:
             fast = griffin_lim(las, params, iters=30)
             plain = griffin_lim(las, params, iters=30, momentum=0.0)
             assert np.max(np.abs(fast.samples)) < 1.0 and np.max(np.abs(plain.samples)) < 1.0
-            assert magnitude_error(fast, las, params) < magnitude_error(plain, las, params)
+            assert _magnitude_error(fast, las, params) < _magnitude_error(plain, las, params)
 
     def test_bad_iteration_count(self, params):
         with pytest.raises(ValueError):
@@ -496,8 +500,6 @@ class TestLasRule:
         model = RefinerModel(gain=np.ones(params.num_bins), bias=np.zeros(params.num_bins))
         return {
             "griffin_lim": lambda las: griffin_lim(las, params, iters=1),
-            "magnitude_error": lambda las: magnitude_error(Waveform(np.zeros(800), 16000),
-                                                           las, params),
             "apply_refiner": lambda las: apply_refiner(model, las),
             "fit_refiner": lambda las: fit_refiner([(las, las)]),
             "las_rmse_db": lambda las: las_rmse_db(las, las),
@@ -505,8 +507,8 @@ class TestLasRule:
             "emit_spectrogram_image": lambda las: emit_spectrogram_image(las, path),
         }
 
-    @pytest.mark.parametrize("consumer", ["griffin_lim", "magnitude_error", "apply_refiner",
-                                          "fit_refiner", "las_rmse_db", "las_rmse_db_test",
+    @pytest.mark.parametrize("consumer", ["griffin_lim", "apply_refiner", "fit_refiner",
+                                          "las_rmse_db", "las_rmse_db_test",
                                           "emit_spectrogram_image"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "empty", "1-d"])
     def test_bad_las_rejected(self, params, tmp_path, consumer, bad):
@@ -516,35 +518,6 @@ class TestLasRule:
             with pytest.raises(ValueError):
                 call(_bad_las(params, bad))
         assert not (tmp_path / "x.pgm").exists()
-
-
-class TestMagnitudeError:
-    def test_short_signal_zero_padded(self, params, sine_1khz):
-        las = extract_las(sine_1khz, params)
-        short = sine_1khz.samples[:5003]
-        padded = np.concatenate([short, np.zeros(sine_1khz.samples.size - short.size)])
-        got = magnitude_error(Waveform(short, 16000), las, params)
-        assert got == magnitude_error(Waveform(padded, 16000), las, params)
-        assert got > 0.0
-
-    def test_long_signal_truncated_to_las_frames(self, params, sine_1khz):
-        las = extract_las(sine_1khz, params)[:50]
-        spanned = Waveform(sine_1khz.samples[: 49 * params.frame_shift + params.frame_len], 16000)
-        got = magnitude_error(sine_1khz, las, params)
-        assert got == magnitude_error(spanned, las, params)
-        assert got < 1e-6 * np.linalg.norm(np.exp(las))
-
-    @pytest.mark.parametrize("bad", ["nan", "overflow", "empty", "bins", "1-d"])
-    def test_bad_las_rejected(self, params, sine_1khz, bad):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="LAS"):
-                magnitude_error(sine_1khz, _bad_las(params, bad), params)
-
-    def test_sample_rate_mismatch_rejected(self, params):
-        las = np.zeros((5, params.num_bins))
-        with pytest.raises(ValueError, match="8000 Hz"):
-            magnitude_error(Waveform(np.zeros(800), 8000), las, params)
 
 
 class TestAnalysisParams:

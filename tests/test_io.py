@@ -3,7 +3,6 @@
 import copy
 import dataclasses
 import struct
-import types
 import warnings
 import wave as wave_module
 
@@ -289,29 +288,24 @@ class TestContainerCodec:
         rawfiles.write_container(tmp_path / "raw.lask", b"LASK", las, 96, 22050)
         assert (tmp_path / "lib.lask").read_bytes() == (tmp_path / "raw.lask").read_bytes()
 
-    @pytest.mark.parametrize("radius", [0, 2**32 - 1])
     @pytest.mark.parametrize("bins", [1, 257])
-    def test_refiner_file_bytes(self, tmp_path, bins, radius):
+    def test_refiner_file_bytes(self, tmp_path, bins):
         rng = np.random.default_rng(42)
-        model = RefinerModel(gain=rng.standard_normal(bins), bias=rng.standard_normal(bins),
-                             context_radius=radius)
+        model = RefinerModel(gain=rng.standard_normal(bins), bias=rng.standard_normal(bins))
         save_refiner(model, tmp_path / "lib.alrf")
-        rawfiles.write_refiner(tmp_path / "raw.alrf", model.gain, model.bias, radius)
+        rawfiles.write_refiner(tmp_path / "raw.alrf", model.gain, model.bias)
         assert (tmp_path / "lib.alrf").read_bytes() == (tmp_path / "raw.alrf").read_bytes()
 
     @staticmethod
     def _write(kind, path, value):
         if kind == "lask":
             write_las_file(path, np.zeros((2, 3)), value, 16000)
-        elif kind == "lask-rate":
+        else:
             write_las_file(path, np.zeros((2, 3)), 80, value)
-        else:  # a model that skips RefinerModel's own radius check
-            save_refiner(types.SimpleNamespace(gain=np.ones(3), bias=np.zeros(3), num_bins=3,
-                                               context_radius=value), path)
 
     @pytest.mark.parametrize("existing", [None, b"earlier contents"])
     @pytest.mark.parametrize("value", [2**32, -1])
-    @pytest.mark.parametrize("kind", ["lask", "lask-rate", "alrf"])
+    @pytest.mark.parametrize("kind", ["lask", "lask-rate"])
     def test_header_field_outside_u32_leaves_the_path_alone(self, tmp_path, kind, value,
                                                             existing):
         path = tmp_path / "out.bin"

@@ -52,6 +52,25 @@ class TestSnr:
         r = rng.standard_normal(400)
         assert snr_db(Waveform(r, 16000), Waveform(np.concatenate([r, r]), 16000)) == math.inf
 
+    def test_in_range_value_is_the_energy_ratio(self):
+        rng = np.random.default_rng(36)
+        r, t = rng.standard_normal(300), rng.standard_normal(300)
+        expected = 10.0 * math.log10(float(r @ r) / float((r - t) @ (r - t)))
+        assert snr_db(Waveform(r, 16000), Waveform(t, 16000)) == expected
+
+    @pytest.mark.parametrize("ref, test", [(1e200, -1e200), (0.5, 1e200), (1e200, 0.5)])
+    def test_overflowing_energies_rejected(self, ref, test):
+        with pytest.raises(ValueError, match="energies overflow"):
+            snr_db(Waveform(np.full(8, ref), 16000), Waveform(np.full(8, test), 16000))
+
+    @pytest.mark.parametrize("ref, test, expected", [
+        ([1e-160], [1e150], -6200.0),     # the energy ratio underflows to 0
+        ([1e150, 0.0], [1e150, 1e-160], 6200.0),  # and here overflows to inf
+    ])
+    def test_energy_ratio_outside_float64_range(self, ref, test, expected):
+        got = snr_db(Waveform(np.array(ref), 16000), Waveform(np.array(test), 16000))
+        assert got == pytest.approx(expected, rel=1e-6)
+
 
 class TestLasRmse:
     def test_identical(self):
@@ -78,6 +97,10 @@ class TestLasRmse:
     def test_bin_mismatch(self):
         with pytest.raises(ValueError):
             las_rmse_db(np.zeros((4, 8)), np.zeros((4, 9)))
+
+    def test_overflow_rejected(self):
+        with pytest.raises(ValueError, match="las_rmse_db overflows"):
+            las_rmse_db(np.full((2, 3), 1e200), np.full((2, 3), -1e200))
 
 
 class TestMcdV:
@@ -110,6 +133,12 @@ class TestMcdV:
         ref = _track([100, 100, 0, 100])
         assert mcd_v_db(ref, _track([100, 100, 120, 100], noisy)) == 0.0
 
+    def test_overflow_rejected(self):
+        ref, test = _voiced_track(mcep=np.full((10, 41), 1e200)), _voiced_track(
+            mcep=np.full((10, 41), -1e200))
+        with pytest.raises(ValueError, match="mcd_v_db overflows"):
+            mcd_v_db(ref, test)
+
 
 class TestF0Rmse:
     def test_identical(self):
@@ -129,6 +158,11 @@ class TestF0Rmse:
         a = _voiced_track(f0=180.0)
         b = _voiced_track(f0=200.0)
         assert f0_rmse_cent(a, b) == pytest.approx(f0_rmse_cent(b, a), abs=1e-12)
+
+    @pytest.mark.parametrize("ref, test", [(1e-300, 1e300), (1e300, 1e-300)])
+    def test_overflow_rejected(self, ref, test):
+        with pytest.raises(ValueError, match="f0_rmse_cent overflows"):
+            f0_rmse_cent(_voiced_track(f0=ref), _voiced_track(f0=test))
 
 
 class TestVuvError:
@@ -186,3 +220,8 @@ class TestEvalReport:
             EvalReport(frames_compared=5, vuv_error_pct=101.0)
         with pytest.raises(ValueError):
             EvalReport(frames_compared=5, las_rmse_db=math.inf)
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_snr_only_takes_positive_infinity(self, value):
+        with pytest.raises(ValueError, match="snr_db must be finite or math.inf"):
+            EvalReport(frames_compared=1, snr_db=value)

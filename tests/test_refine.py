@@ -40,27 +40,6 @@ class TestFitRefiner:
         with pytest.raises(ValueError, match="no training pairs"):
             fit_refiner([])
 
-    @pytest.mark.parametrize("radius", [-1, 2**32])  # outside the .alrf header's u32
-    def test_context_radius_out_of_range(self, radius):
-        alas = _random_pair(32, bins=8)
-        with pytest.raises(ValueError, match="context_radius must be in"):
-            fit_refiner([(alas, alas)], context_radius=radius)
-        with pytest.raises(ValueError, match="context_radius must be in"):
-            RefinerModel(gain=np.ones(8), bias=np.zeros(8), context_radius=radius)
-
-    @pytest.mark.parametrize("radius", [1.5, 2.0, "2"])
-    def test_context_radius_must_be_an_integer(self, radius):
-        # a fractional radius cannot index the frames that the smoothing averages
-        alas = _random_pair(33, bins=8)
-        with pytest.raises(ValueError, match="context_radius must be an integer"):
-            fit_refiner([(alas, alas)], context_radius=radius)
-        with pytest.raises(ValueError, match="context_radius must be an integer"):
-            RefinerModel(gain=np.ones(8), bias=np.zeros(8), context_radius=radius)
-
-    def test_numpy_integer_radius_stored_as_int(self):
-        model = RefinerModel(gain=np.ones(8), bias=np.zeros(8), context_radius=np.uint32(2))
-        assert type(model.context_radius) is int and model.context_radius == 2
-
     def test_lists_are_coerced_to_float64(self):
         model = RefinerModel(gain=[1, 2], bias=[0.0, -1.0])
         assert model.gain.dtype == model.bias.dtype == np.float64
@@ -101,17 +80,6 @@ class TestFitRefiner:
             assert model.gain[k] == pytest.approx(gain, abs=1e-12)
             assert model.bias[k] == pytest.approx(bias, abs=1e-12)
 
-    def test_context_radius_fits_smoothed_input(self):
-        rng = np.random.default_rng(33)
-        recovered = rng.standard_normal((40, 5))
-        natural = 0.8 * recovered + rng.standard_normal((40, 5))
-        model = fit_refiner([(recovered, natural)], context_radius=2)
-        smoothed = np.array([recovered[max(i - 2, 0) : i + 3].mean(axis=0) for i in range(40)])
-        for k in range(5):
-            gain, bias = np.polyfit(smoothed[:, k], natural[:, k], 1)
-            assert model.gain[k] == pytest.approx(gain, abs=1e-12)
-            assert model.bias[k] == pytest.approx(bias, abs=1e-12)
-
 
 class TestApplyRefiner:
     def test_identity_model(self):
@@ -142,21 +110,12 @@ class TestApplyRefiner:
         with pytest.raises(ValueError):
             apply_refiner(model, np.zeros((4, 9)))
 
-    @pytest.mark.parametrize("radius", [0, 1])
-    def test_float64_overflow_rejected_without_warning(self, radius):
-        model = RefinerModel(gain=np.full(4, 1e308), bias=np.full(4, 1e308),
-                             context_radius=radius)
+    def test_float64_overflow_rejected_without_warning(self):
+        model = RefinerModel(gain=np.full(4, 1e308), bias=np.full(4, 1e308))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="float64 range"):
                 apply_refiner(model, np.full((3, 4), 1.5))
-
-    def test_context_smoothing_averages_frames(self):
-        model = RefinerModel(gain=np.ones(4), bias=np.zeros(4), context_radius=1)
-        data = np.arange(12.0).reshape(3, 4)
-        out = apply_refiner(model, data)
-        np.testing.assert_allclose(out[1], data.mean(axis=0))
-        np.testing.assert_allclose(out[0], data[:2].mean(axis=0))
 
 
 class TestRefinerProperties:
@@ -184,20 +143,26 @@ class TestRefinerProperties:
 
     def test_serialization_round_trip(self, tmp_path):
         rng = np.random.default_rng(29)
-        model = RefinerModel(
-            gain=rng.standard_normal(257), bias=rng.standard_normal(257), context_radius=2
-        )
+        model = RefinerModel(gain=rng.standard_normal(257), bias=rng.standard_normal(257))
         path = tmp_path / "model.alrf"
         save_refiner(model, path)
         loaded = load_refiner(path)
         assert np.array_equal(loaded.gain, model.gain)
         assert np.array_equal(loaded.bias, model.bias)
-        assert loaded.context_radius == 2
 
     def test_load_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bogus.alrf"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(ValueError, match="bad magic"):
+            load_refiner(path)
+
+    @pytest.mark.parametrize("radius", [1, 2**32 - 1])
+    def test_load_rejects_a_context_radius(self, tmp_path, radius):
+        # such a model was fitted on frame-smoothed input, and applying it
+        # without the smoothing would give other spectra than it was fitted for
+        path = tmp_path / "smoothed.alrf"
+        rawfiles.write_refiner(path, np.ones(4), np.zeros(4), context_radius=radius)
+        with pytest.raises(ValueError, match=f"context radius {radius}.*refit it with refine-fit"):
             load_refiner(path)
 
     @pytest.mark.parametrize("damage, message", [

@@ -1,0 +1,47 @@
+"""The public surface, listed in full: a new export, option or default has to
+change this file in the same diff."""
+
+import argparse
+import types
+
+import alaskit
+from alaskit import cli
+
+PUBLIC_NAMES = [
+    "AnalysisParams", "EvalReport", "FeatureTrack", "RefinerModel", "Waveform",
+    "apply_refiner", "emit_spectrogram_image", "estimate_f0", "excitation_spectrum",
+    "extract_features", "extract_las", "f0_rmse_cent", "filter_spectrum", "fit_refiner",
+    "frame_signal", "griffin_lim", "hann_window", "las_rmse_db", "load_refiner", "mcd_v_db",
+    "mcep_analysis", "mirror_full_spectrum", "read_feature_file", "read_las_file", "read_wav",
+    "recover_alas", "save_refiner", "snr_db", "vuv_error_pct", "warp_cepstrum",
+    "window_spectrum", "write_feature_file", "write_las_file", "write_wav",
+]
+
+_ANALYSIS = {"--sample-rate": None, "--frame-len": None, "--frame-shift": None,
+             "--fft-size": None, "--alpha": None, "--log-floor": None}
+
+# per subcommand: each argument (positional name, or its option strings) and its default
+COMMANDS = {
+    "analyze": {"input": None, "-o --output": None, "--las": None, **_ANALYSIS},
+    "recover": {"input": None, "-o --output": None, **_ANALYSIS},
+    "refine-fit": {"manifest": None, "-o --output": None},
+    "refine-apply": {"model": None, "input": None, "-o --output": None},
+    "evaluate": {"--ref": None, "--test": None, "--wav": None, "--las": None, "--feat": None,
+                 "-o --output": None, **_ANALYSIS},
+    "resynth": {"input": None, "-o --output": None, "--iters": 60, **_ANALYSIS},
+    "plot": {"input": None, "-o --output": None},
+}
+
+
+def test_public_surface():
+    names = sorted(name for name, value in vars(alaskit).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert names == PUBLIC_NAMES
+    parser = cli._build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    commands = {
+        name: {" ".join(a.option_strings) or a.dest: a.default
+               for a in command._actions if not isinstance(a, argparse._HelpAction)}
+        for name, command in sub.choices.items()
+    }
+    assert commands == COMMANDS
