@@ -10,7 +10,6 @@ from .alas import (
     excitation_spectrum,
     filter_spectrum,
     recover_alas,
-    window_spectrum,
 )
 from .dsp import (
     AnalysisParams,
@@ -19,7 +18,6 @@ from .dsp import (
     frame_signal,
     griffin_lim,
     hann_window,
-    mirror_full_spectrum,
     warp_cepstrum,
 )
 from .features import (

@@ -2,8 +2,10 @@
 
 Builds a harmonic (or flat, when unvoiced) excitation spectrum from F0, a
 filter amplitude spectrum from warped cepstra, multiplies them bin-wise and
-convolves the mirrored product with the analysis-window spectrum to imitate
-what windowed STFT analysis would have produced.
+takes the spectrum of the product's even inverse transform times the
+zero-phase analysis window, to imitate what windowed STFT analysis would
+have produced. By the convolution theorem, that is the mirrored product
+convolved with the window's spectrum.
 
 Everything but the comb, the exponential and the final log-magnitude is
 linear, so the filter and window steps are cached matrices per
@@ -14,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dsp import _EXP_MAX, AnalysisParams, _warp_matrix, hann_window, mirror_full_spectrum
+from .dsp import _EXP_MAX, AnalysisParams, _warp_matrix, hann_window
 from .features import FeatureTrack
 
 
@@ -53,9 +55,10 @@ def excitation_spectrum(f0: float | np.ndarray, params: AnalysisParams) -> np.nd
 @lru_cache(maxsize=8)
 def _log_filter_map(params: AnalysisParams) -> np.ndarray:
     """K x K map from padded coefficients to the log filter spectrum: row j
-    is the unwarped, mirrored and transformed j-th unit coefficient."""
+    is the Hermitian FFT (the FFT of the even sequence mirrored from a half)
+    of the unwarped j-th unit coefficient, at its first K bins."""
     cep = _warp_matrix(params.num_bins, float(params.warp_alpha)).T
-    return np.fft.rfft(mirror_full_spectrum(cep, params.fft_size)).real
+    return np.fft.hfft(cep, n=params.fft_size)[:, : params.num_bins]
 
 
 def filter_spectrum(mcep_with_energy: np.ndarray, params: AnalysisParams) -> np.ndarray:
@@ -81,37 +84,24 @@ def filter_spectrum(mcep_with_energy: np.ndarray, params: AnalysisParams) -> np.
     return np.exp(log_filter)
 
 
-def window_spectrum(params: AnalysisParams) -> np.ndarray:
-    """Center-shifted spectrum of the zero-phase periodic Hann window.
-
-    The window is arranged circularly around sample 0 and zero-padded to
-    fft_size, making its transform real even; the peak (the window's
-    coefficient sum, frame_len/2) sits at the center index fft_size//2.
-    """
-    window = hann_window(params.frame_len)
-    half = params.frame_len // 2
-    buf = np.zeros(params.fft_size)
-    buf[: params.frame_len - half] = window[half:]
-    buf[params.fft_size - half :] = window[:half]
-    return np.fft.fftshift(np.fft.fft(buf).real)
-
-
 @lru_cache(maxsize=8)
 def _window_convolution_map(params: AnalysisParams) -> np.ndarray:
-    """K x K map of the window convolution: row j is the first K outputs of
-    the mirrored j-th unit half spectrum circularly convolved with the
-    window spectrum (both aligned on their zero-frequency bins)."""
-    full = mirror_full_spectrum(np.eye(params.num_bins), params.fft_size)
-    kernel = np.fft.rfft(np.fft.ifftshift(window_spectrum(params)))
-    convolved = np.fft.irfft(np.fft.rfft(full) * kernel, n=params.fft_size)
-    return convolved[:, : params.num_bins]
+    """K x K map of the window step: row j is the first K bins of the
+    spectrum of the j-th unit half spectrum's even inverse transform times
+    the zero-phase periodic Hann window (arranged circularly around sample
+    0, zero-padded to fft_size). Scaled by fft_size, that is the mirrored
+    unit half spectrum circularly convolved with the window's spectrum."""
+    n, length = params.fft_size, params.frame_len
+    window = np.roll(np.pad(hann_window(length), (0, n - length)), -(length // 2))
+    return n * np.fft.rfft(np.fft.irfft(np.eye(params.num_bins), n=n) * window).real
 
 
 def recover_alas(track: FeatureTrack, params: AnalysisParams) -> np.ndarray:
     """Approximate log amplitude spectra for every frame of a feature track.
 
-    Per frame, the source-filter product is mirrored to a full even
-    spectrum and circularly convolved with the window spectrum; the
+    Per frame, the source-filter product's even inverse transform is
+    multiplied by the zero-phase analysis window and transformed back, which
+    convolves the mirrored product with the window's spectrum; the
     magnitudes of the K bins from zero frequency upward are floored and
     logged. Mel-cepstra whose spectra overflow, in the exponential or in
     the convolution, are a ValueError.

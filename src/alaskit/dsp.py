@@ -153,33 +153,25 @@ def extract_las(wave: Waveform, params: AnalysisParams) -> np.ndarray:
 
     Magnitudes are floored at ``params.log_floor`` before the log, so the
     result is finite everywhere and >= log(log_floor). The waveform must be
-    at ``params.sample_rate``.
+    at ``params.sample_rate``, and its peak |sample| at most float64 max /
+    frame_len (about 5.6e305 at the default geometry), so that every
+    magnitude stays finite; a larger one is a ValueError.
     """
     _check_sample_rate(wave, params)
     length, shift = params.frame_len, params.frame_shift
     frames = _frames(wave.samples, num_frames(len(wave), shift), length, shift)
+    # |X[k]| is at most the peak times the window's sum, frame_len / 2, so
+    # this limit leaves a factor 2 of headroom inside the FFT.
+    limit = np.finfo(np.float64).max / length
+    peak = max(float(wave.samples.max()), -float(wave.samples.min()))
+    if peak > limit:
+        raise ValueError(f"LAS analysis needs samples of magnitude at most {limit:.3g} "
+                         f"(the spectra overflow), got {peak:.3g}")
     padded = np.zeros((frames.shape[0], params.fft_size))
     np.multiply(frames, hann_window(length), out=padded[:, :length])
     las = np.abs(np.fft.rfft(padded, axis=1))
     np.maximum(las, params.log_floor, out=las)
     return np.log(las, out=las)
-
-
-def mirror_full_spectrum(half: np.ndarray, fft_size: int) -> np.ndarray:
-    """Expand length-K half spectra to even-symmetric full spectra.
-
-    out[..., k] = half[..., k] for k < K and out[..., fft_size-k] =
-    half[..., k] for k = 1..K-2, so each row is real-even over the
-    fft_size-point circle. Leading axes are batch axes; the values must be
-    finite.
-    """
-    half = np.asarray(half, dtype=np.float64)
-    k = fft_size // 2 + 1
-    if half.ndim == 0 or half.shape[-1] != k:
-        raise ValueError(f"expected length-{k} half spectra, got {half.shape}")
-    if not np.isfinite(half).all():
-        raise ValueError("half spectra must be finite")
-    return np.concatenate([half, half[..., -2:0:-1]], axis=-1)
 
 
 @lru_cache(maxsize=8)
@@ -225,8 +217,6 @@ def warp_cepstrum(m: np.ndarray, alpha: float) -> np.ndarray:
         raise ValueError("cepstral vectors must be finite")
     if not abs(alpha) < 1.0:  # false for NaN
         raise ValueError(f"alpha must be finite with |alpha| < 1, got {alpha}")
-    if alpha == 0.0:
-        return m.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # the result is checked below
         warped = m @ _warp_matrix(m.shape[-1], float(alpha)).T
     if not np.isfinite(warped).all():

@@ -149,12 +149,15 @@ def emit_spectrogram_image(las: np.ndarray, path) -> None:
     """Write a binary PGM spectrogram: frames left to right, bin 0 at the
     bottom, min-max normalized per file (constant input maps to mid-gray)."""
     las = _check_las(las)
-    lo = las.min()
-    hi = las.max()
-    if hi - lo < 1e-12:
+    # on halves, so a range past the float64 maximum stays finite; halving a
+    # normal float is exact, so every other LAS gives the same quotient
+    half = las / 2
+    lo = half.min()
+    half_range = half.max() - lo
+    if half_range < 0.5e-12:
         gray = np.full_like(las, 0.5)
     else:
-        gray = (las - lo) / (hi - lo)
+        gray = (half - lo) / half_range
     image = np.flipud(gray.T)  # rows top..bottom = bins K-1..0
     pixels = np.rint(image * 255.0).astype(np.uint8)
     with open(path, "wb") as fh:

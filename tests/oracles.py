@@ -7,6 +7,11 @@ can compare the two with stated tolerances. The per-frame forms warp one
 vector at a time with ``warp_cepstrum``, which is itself checked against
 the scalar recursion.
 
+The library builds its filter and window maps straight from numpy's
+Hermitian and real FFTs. The forms below write each step out: they mirror
+a half spectrum by concatenation and convolve it with the centre-shifted
+window spectrum through FFTs.
+
 The library looks each source comb up in a cached table by its harmonic
 spacing; the float-modulo comb it replaced is kept below as its reference.
 
@@ -27,13 +32,7 @@ own parabolic fit, so the two share only the constants.
 
 import numpy as np
 
-from alaskit import (
-    Waveform,
-    hann_window,
-    mirror_full_spectrum,
-    warp_cepstrum,
-    window_spectrum,
-)
+from alaskit import Waveform, hann_window, warp_cepstrum
 from alaskit.features import F0_MAX, F0_MIN, RMS_GATE, VOICING_THRESHOLD
 
 
@@ -75,13 +74,33 @@ def excitation_spectrum_modulo(f0, params):
     return np.where(f0[..., None] == 0.0, 1.0, (bins > 0) & (bins % k0 == 0))
 
 
+def mirror_full_spectrum(half):
+    """Length-K half spectra (last axis) expanded to even-symmetric full
+    spectra of fft_size = 2(K-1): out[k] = half[k] for k < K and
+    out[fft_size-k] = half[k] for k = 1..K-2."""
+    return np.concatenate([half, half[..., -2:0:-1]], axis=-1)
+
+
+def window_spectrum(params):
+    """Centre-shifted spectrum of the zero-phase periodic Hann window: the
+    window arranged circularly around sample 0 and zero-padded to fft_size,
+    so its transform is real and even, with its peak (the window's sum,
+    frame_len/2) at index fft_size//2."""
+    window = hann_window(params.frame_len)
+    half = params.frame_len // 2
+    buf = np.zeros(params.fft_size)
+    buf[: params.frame_len - half] = window[half:]
+    buf[params.fft_size - half :] = window[:half]
+    return np.fft.fftshift(np.fft.fft(buf).real)
+
+
 def log_filter_frame(mcep_with_energy, params):
     """Per-frame log filter spectrum: zero-pad to K, warp with alpha, mirror
     and take the real part of the FFT."""
     padded = np.zeros(params.num_bins)
     padded[: len(mcep_with_energy)] = mcep_with_energy
     cep = warp_cepstrum(padded, params.warp_alpha)
-    return np.fft.rfft(mirror_full_spectrum(cep, params.fft_size)).real
+    return np.fft.rfft(mirror_full_spectrum(cep)).real
 
 
 def recover_alas_frame(f0, vuv, mcep_with_energy, params):
@@ -90,7 +109,7 @@ def recover_alas_frame(f0, vuv, mcep_with_energy, params):
     k = params.num_bins
     excitation = excitation_spectrum_modulo(f0 if vuv else 0.0, params)
     envelope = np.exp(log_filter_frame(mcep_with_energy, params))
-    full = mirror_full_spectrum(excitation * envelope, params.fft_size)
+    full = mirror_full_spectrum(excitation * envelope)
     kernel = np.fft.ifftshift(window_spectrum(params))
     convolved = np.fft.irfft(np.fft.rfft(full) * np.fft.rfft(kernel), n=params.fft_size)
     return np.log(np.maximum(np.abs(convolved[:k]), params.log_floor))

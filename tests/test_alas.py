@@ -19,13 +19,12 @@ from alaskit import (
     extract_features,
     extract_las,
     filter_spectrum,
+    hann_window,
     mcep_analysis,
-    mirror_full_spectrum,
     recover_alas,
     warp_cepstrum,
-    window_spectrum,
 )
-from alaskit.alas import _log_filter_map
+from alaskit.alas import _log_filter_map, _window_convolution_map
 from alaskit.dsp import _warp_matrix
 
 # Batched recover_alas against the per-frame oracle: the maps reorder the
@@ -175,12 +174,28 @@ def test_analysis_inverts_synthesis_on_fitting_cepstra(alpha, scale, data, seed)
     assert _scaled_error(per_frame, coeffs, np.max(np.abs(log))) <= MAP_TOL
 
 
+# The maps from numpy's Hermitian and real FFTs against their first forms in
+# oracles.py, absolute: measured at most 1.6e-15 for S (entries up to 2.55)
+# and 1.1e-13 for C (entries up to 435, at fft_size 1024).
+MAP_FORM_TOL = 1e-12
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.42, 0.55])
 def test_log_filter_map_is_warp_of_unit_vectors(alpha):
     params = AnalysisParams(warp_alpha=alpha)
     cep = warp_cepstrum(np.eye(params.num_bins), alpha)
-    want = np.fft.rfft(mirror_full_spectrum(cep, params.fft_size)).real
-    assert np.array_equal(_log_filter_map(params), want)
+    want = np.fft.rfft(oracles.mirror_full_spectrum(cep)).real
+    assert np.max(np.abs(_log_filter_map(params) - want)) <= MAP_FORM_TOL
+
+
+@pytest.mark.parametrize("geometry", [dict(frame_len=64, frame_shift=16, fft_size=64), dict(),
+                                      dict(frame_len=512, frame_shift=128, fft_size=1024)])
+def test_window_map_is_convolution_of_unit_vectors(geometry):
+    params = AnalysisParams(**geometry)
+    full = oracles.mirror_full_spectrum(np.eye(params.num_bins))
+    kernel = np.fft.rfft(np.fft.ifftshift(oracles.window_spectrum(params)))
+    want = np.fft.irfft(np.fft.rfft(full) * kernel, n=params.fft_size)[:, : params.num_bins]
+    assert np.max(np.abs(_window_convolution_map(params) - want)) <= MAP_FORM_TOL
 
 
 class TestWarpCepstrum:
@@ -268,14 +283,6 @@ class TestFilterSpectrum:
         v = filter_spectrum(np.array([0.7] + [0.0] * 40), params)
         np.testing.assert_allclose(v, math.exp(0.7), rtol=1e-12)
 
-    def test_mirrored_cepstrum_transform_is_real(self, params):
-        rng = np.random.default_rng(16)
-        coeffs = np.zeros(params.num_bins)
-        coeffs[:41] = rng.standard_normal(41) * 0.5
-        cep = warp_cepstrum(coeffs, params.warp_alpha)
-        spectrum = np.fft.fft(mirror_full_spectrum(cep, params.fft_size))
-        assert np.max(np.abs(spectrum.imag)) < 1e-9
-
     def test_strictly_positive(self, params):
         rng = np.random.default_rng(17)
         for _ in range(5):
@@ -327,25 +334,32 @@ class TestFilterSpectrum:
             np.testing.assert_allclose(row, filter_spectrum(coeffs, params), rtol=1e-13)
 
 
-class TestWindowSpectrum:
-    def test_peak_is_window_sum_at_center(self, params):
-        w = window_spectrum(params)
-        center = params.fft_size // 2
-        assert np.argmax(w) == center
-        assert w[center] == pytest.approx(params.frame_len / 2, abs=1e-9)
+class TestWindowConvolutionMap:
+    """Rows of the window map: row j holds W(k - j) + W(k + j) at column k,
+    with W the window's circular spectrum, even and peaking at the window's
+    sum; the map's geometry puts W's nulls at every even offset of 4 or
+    more."""
 
-    def test_even_symmetry_about_center(self, params):
-        w = window_spectrum(params)
-        center = params.fft_size // 2
-        for off in range(1, 200):
-            assert w[center + off] == pytest.approx(w[center - off], abs=1e-9)
+    params = AnalysisParams(frame_len=256, frame_shift=64, fft_size=512)
+
+    def test_peak_is_window_sum_on_the_diagonal(self):
+        c = _window_convolution_map(self.params)
+        for j in range(4, 253):
+            assert np.argmax(c[j]) == j
+            assert c[j, j] == pytest.approx(128.0, abs=1e-9)
+
+    def test_even_symmetry_about_the_diagonal(self):
+        # at j = fft_size/4 the image term W(k + j) is even about j as well
+        row, j = _window_convolution_map(self.params)[128], 128
+        for off in range(1, 129):
+            assert row[j + off] == pytest.approx(row[j - off], abs=1e-9)
 
     def test_main_lobe_nulls_at_double_padding(self):
-        p = AnalysisParams(frame_len=256, fft_size=512)
-        w = window_spectrum(p)
-        center, peak = 256, 128.0
-        for off in range(4, 200, 2):
-            assert abs(w[center + off]) <= 1e-6 * peak
+        c = _window_convolution_map(self.params)
+        offsets = np.arange(257) - np.arange(257)[:, None]  # k - j at row j, column k
+        nulls = (offsets % 2 == 0) & (np.abs(offsets) >= 4)
+        nulls[:4] = nulls[253:] = False  # interior rows only
+        assert np.max(np.abs(c[nulls])) <= 1e-6 * 128.0
 
 
 def _one_frame(f0, energy=0.0, mcep=None):
@@ -373,7 +387,9 @@ class TestRecoverAlasFrame:
 
     def test_unvoiced_flat_filter_is_constant(self, params):
         alas = recover_alas(_one_frame(0.0), params)[0]
-        expected = math.log(window_spectrum(params).sum())
+        # every bin sums the window spectrum over the whole circle: fft_size
+        # times the zero-phase window at sample 0, its centre value
+        expected = math.log(params.fft_size * hann_window(params.frame_len)[params.frame_len // 2])
         np.testing.assert_allclose(alas, expected, rtol=1e-6)
 
     def test_voiced_flat_filter_peaks_at_harmonics(self, params):

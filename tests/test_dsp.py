@@ -26,7 +26,6 @@ from alaskit import (
     griffin_lim,
     hann_window,
     las_rmse_db,
-    mirror_full_spectrum,
 )
 from alaskit import dsp
 from alaskit.dsp import _frames, _overlap_add
@@ -225,36 +224,28 @@ class TestExtractLas:
         with pytest.raises(ValueError, match="8000 Hz.*16000 Hz"):
             extract_las(Waveform(np.zeros(800), 8000), params)
 
+    @pytest.mark.parametrize("pattern", [1.0, -1.0, (-1.0) ** np.arange(2000)])
+    def test_overflow_limit_is_inclusive(self, params, pattern):
+        # |X[k]| <= peak * frame_len / 2: at the limit, a constant frame puts
+        # float64 max / 2 in bin 0 and an alternating one in bin fft_size/2;
+        # one ulp more is refused
+        limit = np.finfo(np.float64).max / params.frame_len
+        samples = limit * np.broadcast_to(pattern, 2000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(extract_las(Waveform(samples, 16000), params)))
+            samples[700] = np.copysign(np.nextafter(limit, np.inf), samples[700])
+            with pytest.raises(ValueError, match="magnitude at most 5.62e\\+305"):
+                extract_las(Waveform(samples, 16000), params)
 
-class TestMirrorFullSpectrum:
-    def test_small_case(self):
-        assert mirror_full_spectrum([1.0, 2.0, 3.0], 4) == pytest.approx([1, 2, 3, 2])
-
-    def test_constant(self):
-        full = mirror_full_spectrum(np.full(257, 7.5), 512)
-        assert np.all(full == 7.5)
-
-    def test_retains_half(self):
-        rng = np.random.default_rng(5)
-        half = rng.standard_normal(257)
-        assert np.array_equal(mirror_full_spectrum(half, 512)[:257], half)
-
-    def test_even_symmetry(self):
-        rng = np.random.default_rng(6)
-        full = mirror_full_spectrum(rng.standard_normal(257), 512)
-        for k in (1, 17, 100, 255, 256, 300, 511):
-            assert full[k] == full[512 - k]
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            mirror_full_spectrum(np.zeros(100), 512)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_rejected(self, bad):
-        half = np.zeros((2, 257))
-        half[1, 256] = bad
-        with pytest.raises(ValueError, match="half spectra must be finite"):
-            mirror_full_spectrum(half, 512)
+    @pytest.mark.parametrize("amplitude", [1.13e306, 1e308])
+    def test_samples_whose_spectra_overflow_rejected(self, params, amplitude):
+        # before: overflow warnings in the FFT, and a LAS holding 22 infs
+        # (1.13e306), or 204 infs and 2743 NaNs (1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the spectra overflow"):
+                extract_las(Waveform(np.full(2000, amplitude), 16000), params)
 
 
 def _magnitude_error(signal, las, params):

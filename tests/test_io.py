@@ -338,6 +338,17 @@ class TestSpectrogramImage:
         assert np.all(pixels == pixels[0, 0])
         assert 120 <= int(pixels[0, 0]) <= 135
 
+    def test_range_past_float64_maximum(self, tmp_path):
+        # before: overflow, invalid-divide and invalid-cast warnings, then an
+        # all-black image
+        path = tmp_path / "wide.pgm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            emit_spectrogram_image(np.array([[-1e308, 1e308], [0.0, 1.0]]), path)
+        _, _, pixels = self._read_pgm(path)
+        # rows top..bottom are bins 1, 0; columns are frames
+        assert pixels.tolist() == [[255, 128], [0, 128]]
+
     def test_dimensions_match_matrix(self, tmp_path):
         path = tmp_path / "dims.pgm"
         emit_spectrogram_image(np.random.default_rng(39).standard_normal((31, 17)), path)

@@ -12,9 +12,9 @@ PUBLIC_NAMES = [
     "apply_refiner", "emit_spectrogram_image", "estimate_f0", "excitation_spectrum",
     "extract_features", "extract_las", "f0_rmse_cent", "filter_spectrum", "fit_refiner",
     "frame_signal", "griffin_lim", "hann_window", "las_rmse_db", "load_refiner", "mcd_v_db",
-    "mcep_analysis", "mirror_full_spectrum", "read_feature_file", "read_las_file", "read_wav",
-    "recover_alas", "save_refiner", "snr_db", "vuv_error_pct", "warp_cepstrum",
-    "window_spectrum", "write_feature_file", "write_las_file", "write_wav",
+    "mcep_analysis", "read_feature_file", "read_las_file", "read_wav", "recover_alas",
+    "save_refiner", "snr_db", "vuv_error_pct", "warp_cepstrum", "write_feature_file",
+    "write_las_file", "write_wav",
 ]
 
 _ANALYSIS = {"--sample-rate": None, "--frame-len": None, "--frame-shift": None,
