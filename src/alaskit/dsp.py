@@ -7,11 +7,8 @@ A log amplitude spectrum (LAS) matrix is a plain float64 ndarray of shape
 
 import math
 import numbers
-import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -103,6 +100,7 @@ class Waveform:
 
 def hann_window(length: int) -> np.ndarray:
     """Periodic Hann window: w[j] = 0.5 - 0.5*cos(2*pi*j/length)."""
+    length = _integer("window length", length)
     if length < 2:
         raise ValueError("window length must be >= 2")
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
@@ -258,28 +256,12 @@ def _overlap_add(frames: np.ndarray, shift: int, out: np.ndarray | None = None) 
     return out
 
 
-# Below this many frames griffin_lim runs inline. The two thread hand-offs
-# per iteration cost about 0.25 ms on a 2-vCPU Xeon, about what splitting
-# the per-frame work saves at 64 frames; 128 leaves a margin.
-_THREAD_MIN_FRAMES = 128
-
-
 def _thread_pool():
     """A pool of two threads. concurrent.futures is imported here, not with
     this module, because it imports logging: about 5 ms on every command."""
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(2)
-
-
-def _worker_count() -> int:
-    """Row blocks griffin_lim splits each iteration into: two, or one when
-    this process may run on a single CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        usable = len(os.sched_getaffinity(0))
-    else:
-        usable = os.cpu_count() or 1
-    return min(2, usable)
 
 
 def griffin_lim(las: np.ndarray, params: AnalysisParams, iters: int = 60,
@@ -300,11 +282,12 @@ def griffin_lim(las: np.ndarray, params: AnalysisParams, iters: int = 60,
     squared-window sum, and every iteration runs in buffers allocated once
     per call.
 
-    The per-frame work of an iteration (analysis, magnitude projection,
-    inverse FFT and windowing) runs on two threads over two row blocks when
-    two CPUs are usable and the LAS has enough frames; overlap-add and the
-    momentum step stay on the calling thread. Each row's arithmetic is the
-    same either way, so the output does not depend on the CPU count.
+    The per-frame work of every iteration after the first synthesis
+    (analysis, magnitude projection, inverse FFT and windowing) runs over
+    two row blocks, the first n//2 frames and the rest, on two threads of a
+    pool that lives for the call; the first synthesis, overlap-add and the
+    momentum step run on the calling thread. Each row's arithmetic does not
+    depend on its block, so the output does not depend on the CPU count.
     """
     las = _check_las(las, params.num_bins)
     if las.max() > _EXP_MAX:
@@ -323,47 +306,41 @@ def griffin_lim(las: np.ndarray, params: AnalysisParams, iters: int = 60,
     phase = -2.0 * np.pi * np.arange(params.num_bins) * (length // 2) / params.fft_size
     spectra = magnitudes * np.exp(1j * phase)
     full = np.empty((n, params.fft_size))
+    np.fft.irfft(spectra, n=params.fft_size, axis=1, out=full)
+    full[:, :length] *= window
     signal, previous, estimate = np.empty((3, norm.size))
     analysed = _frame_view(estimate, length, shift)
 
-    def per_frame(rows: slice, analyse: bool) -> None:
-        """For the frames in ``rows``: if ``analyse``, analyse ``estimate`` and
-        project the spectra onto the target magnitudes; then write the
-        windowed inverse FFTs to the first frame_len columns of ``full``.
-        Analysis windows the frames into ``full``, zero-padded, and once they
-        are transformed takes its first num_bins columns for the scale."""
-        if analyse:
-            spectrum, frames = spectra[rows], full[rows]
-            np.multiply(analysed[rows], window, out=frames[:, :length])
-            frames[:, length:] = 0.0
-            np.fft.rfft(frames, axis=1, out=spectrum)
-            scale = np.abs(spectrum, out=frames[:, : params.num_bins])
-            if not scale.all():  # a zero bin keeps phasor 1, as np.angle's phase 0
-                zero = scale == 0
-                spectrum[zero] = scale[zero] = 1.0
-            np.divide(magnitudes[rows], scale, out=scale)
-            spectrum *= scale  # magnitudes times the unit phasors spectrum / |spectrum|
-        np.fft.irfft(spectra[rows], n=params.fft_size, axis=1, out=full[rows])
-        full[rows, :length] *= window
+    def per_frame(rows: slice) -> None:
+        """For the frames in ``rows``: analyse ``estimate``, project the
+        spectra onto the target magnitudes, then write the windowed inverse
+        FFTs to the first frame_len columns of ``full``. Analysis windows the
+        frames into ``full``, zero-padded, and once they are transformed
+        takes its first num_bins columns for the scale."""
+        spectrum, frames = spectra[rows], full[rows]
+        np.multiply(analysed[rows], window, out=frames[:, :length])
+        frames[:, length:] = 0.0
+        np.fft.rfft(frames, axis=1, out=spectrum)
+        scale = np.abs(spectrum, out=frames[:, : params.num_bins])
+        if not scale.all():  # a zero bin keeps phasor 1, as np.angle's phase 0
+            zero = scale == 0
+            spectrum[zero] = scale[zero] = 1.0
+        np.divide(magnitudes[rows], scale, out=scale)
+        spectrum *= scale  # magnitudes times the unit phasors spectrum / |spectrum|
+        np.fft.irfft(spectrum, n=params.fft_size, axis=1, out=frames)
+        frames[:, :length] *= window
 
-    split = n >= _THREAD_MIN_FRAMES and _worker_count() > 1
-    blocks = [slice(0, n // 2), slice(n // 2, n)] if split else [slice(0, n)]
+    blocks = [slice(0, n // 2), slice(n // 2, n)]
     step = momentum / (1.0 + momentum)
-    with _thread_pool() if len(blocks) > 1 else nullcontext() as pool:
-        run = map if pool is None else pool.map
-
-        def each_block(analyse: bool) -> None:
-            for _ in run(per_frame, blocks, repeat(analyse)):
-                pass  # reads every result, so a worker's exception is raised here
-
-        each_block(False)
+    with _thread_pool() as pool:
         for it in range(iters - 1):
             signal, previous = _overlap_add(full[:, :length], shift, out=previous), signal
             signal /= norm
             # the signal whose analysis sets the phase; x - 0.0 is x, also for -0.0
             term = np.multiply(previous, step, out=estimate) if it and step else 0.0
             np.subtract(signal, term, out=estimate)
-            each_block(True)
+            for _ in pool.map(per_frame, blocks):
+                pass  # reads every result, so a worker's exception is raised here
     signal = _overlap_add(full[:, :length], shift, out=previous)
     signal /= norm
     return Waveform(signal / max(1.0, np.max(np.abs(signal))), params.sample_rate)

@@ -53,6 +53,10 @@ class FeatureTrack:
             object.__setattr__(self, name, _read_only_float64(getattr(self, name)))
         for name in ("frame_shift", "sample_rate"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.frame_shift < 1:
+            raise ValueError("frame_shift must be >= 1")
+        if self.sample_rate < 1:
+            raise ValueError("sample_rate must be positive")
         n, width = self.f0.size, MCEP_ORDER + 1
         if self.f0.ndim != 1 or n == 0:
             raise ValueError("f0 must be a non-empty 1-D array")

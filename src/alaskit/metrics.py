@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Waveform, _check_las
+from .dsp import Waveform, _check_las, _integer
 from .features import FeatureTrack
 
 # natural-log amplitude -> dB
@@ -31,6 +31,8 @@ class EvalReport:
     vuv_error_pct: float | None = None
 
     def __post_init__(self):
+        frames = _integer("frames_compared", self.frames_compared)
+        object.__setattr__(self, "frames_compared", frames)
         if self.frames_compared <= 0:
             raise ValueError("frames_compared must be positive")
         if self.snr_db is not None and not -math.inf < self.snr_db <= math.inf:  # false for NaN
@@ -117,7 +119,7 @@ def f0_rmse_cent(ref: FeatureTrack, test: FeatureTrack) -> float:
 
 def vuv_error_pct(ref: FeatureTrack, test: FeatureTrack) -> float:
     """Percentage of frames whose voicing flags disagree."""
-    ref_v, test_v = _truncate_rows(ref.vuv, test.vuv)
+    ref_v, test_v = _track_vuv(ref, test)
     return 100.0 * float(np.mean(ref_v != test_v))
 
 
@@ -142,9 +144,19 @@ def _truncate_rows(a, b, stacklevel=3):
     return a, b
 
 
+def _track_vuv(ref: FeatureTrack, test: FeatureTrack, stacklevel=4):
+    """Both tracks' voicing flags over their common length; tracks of
+    different (frame_shift, sample_rate) are a ValueError naming both."""
+    geometries = [(track.frame_shift, track.sample_rate) for track in (ref, test)]
+    if geometries[0] != geometries[1]:
+        raise ValueError("feature tracks differ in (frame_shift, sample_rate): "
+                         f"{geometries[0]} vs {geometries[1]}")
+    return _truncate_rows(ref.vuv, test.vuv, stacklevel=stacklevel)
+
+
 def _common_voiced(ref: FeatureTrack, test: FeatureTrack) -> np.ndarray:
     """Indices of the frames voiced in both tracks, over their common length."""
-    ref_v, test_v = _truncate_rows(ref.vuv, test.vuv, stacklevel=4)
+    ref_v, test_v = _track_vuv(ref, test, stacklevel=5)
     both = np.nonzero(ref_v & test_v)[0]
     if both.size == 0:
         raise ValueError("no commonly voiced frames")

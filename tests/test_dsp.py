@@ -1,10 +1,12 @@
 """Tests for framing, windowing, LAS extraction and Griffin-Lim."""
 
+import contextlib
 import itertools
 import math
 import sys
 import threading
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -162,6 +164,12 @@ class TestHannWindow:
         with pytest.raises(ValueError):
             hann_window(1)
 
+    @pytest.mark.parametrize("length", [2.5, 320.0, True])
+    def test_non_integer_length_rejected(self, length):
+        with pytest.raises(ValueError, match="window length must be an integer"):
+            hann_window(length)
+        assert np.array_equal(hann_window(np.int64(320)), hann_window(320))
+
 
 @settings(max_examples=80, deadline=None)
 @given(geometry=st.sampled_from([(320, 80, 512), (320, 96, 512), (256, 100, 256),
@@ -296,14 +304,17 @@ class TestGriffinLim:
             griffin_lim(las, params, iters=2.5)
         assert griffin_lim(las, params, iters=np.int64(2)).samples.size > 0
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_memory_peak(self, params, monkeypatch, workers):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_memory_peak(self, params, monkeypatch, threads):
         # the buffers griffin_lim needs at 1600 frames x 257 bins come to
-        # about 21.8 MB with one worker and 22.3 MB with two (the spectra, the
-        # one (frames, fft_size) FFT buffer and a few signals); a second FFT
-        # buffer adds 6.6 MB, a (frames, bins) scale buffer 3.3 MB, and an
-        # (n, frame_len) index grid or frame copy 4 MB
-        monkeypatch.setattr(dsp, "_worker_count", lambda: workers)
+        # about 22.4 MB (the spectra, the one (frames, fft_size) FFT buffer
+        # and a few signals); a second FFT buffer adds 6.6 MB, a (frames,
+        # bins) scale buffer 3.3 MB, and an (n, frame_len) index grid or
+        # frame copy 4 MB. threads=1 runs the two row blocks in turn on the
+        # calling thread, threads=2 on the two-thread pool.
+        if threads == 1:
+            monkeypatch.setattr(dsp, "_thread_pool",
+                                lambda: contextlib.nullcontext(types.SimpleNamespace(map=map)))
         rng = np.random.default_rng(3)
         las = np.log(rng.uniform(1e-3, 1.0, (1600, params.num_bins)))
         tracemalloc.start()
@@ -380,43 +391,44 @@ class TestGriffinLim:
 
 
 class TestGriffinLimThreads:
-    """Two row blocks on two threads against one block inline."""
-
-    @staticmethod
-    def _run(las, params, monkeypatch, workers, momentum=0.99, iters=5):
-        pools, make_pool = [], dsp._thread_pool
-
-        def counting_pool():
-            pools.append(make_pool())
-            return pools[-1]
-
-        monkeypatch.setattr(dsp, "_worker_count", lambda: workers)
-        monkeypatch.setattr(dsp, "_thread_pool", counting_pool)
-        samples = griffin_lim(las, params, iters=iters, momentum=momentum).samples
-        return samples, pools
+    """Two row blocks on two threads against the same blocks run in turn."""
 
     @pytest.mark.parametrize("momentum", MOMENTA)
     @pytest.mark.parametrize("shift", [80, 96])  # 320/96: frame_len not a multiple of the shift
-    @pytest.mark.parametrize("extra", [0, 1, 205])  # at and just above the threshold, and odd
+    @pytest.mark.parametrize("extra", [0, 1, 205])  # even and odd frame counts
     def test_two_blocks_equal_one(self, vowel_corpus, monkeypatch, momentum, shift, extra):
         params = AnalysisParams(frame_shift=shift)
         samples = np.concatenate([wave.samples for wave in vowel_corpus[:3]])
-        las = extract_las(Waveform(samples, params.sample_rate), params)
-        las = las[: dsp._THREAD_MIN_FRAMES + extra]
-        threaded, pools = self._run(las, params, monkeypatch, 2, momentum)
-        assert len(pools) == 1
-        inline, pools = self._run(las, params, monkeypatch, 1, momentum)
-        assert pools == []
-        assert np.array_equal(threaded, inline)
+        las = extract_las(Waveform(samples, params.sample_rate), params)[: 128 + extra]
+        threaded = griffin_lim(las, params, iters=5, momentum=momentum).samples
+        pools = []
 
-    def test_concurrent_calls_under_fast_switching(self, params, vowel_corpus, monkeypatch):
+        def serial_pool():
+            pools.append(types.SimpleNamespace(map=map))
+            return contextlib.nullcontext(pools[-1])
+
+        monkeypatch.setattr(dsp, "_thread_pool", serial_pool)
+        serial = griffin_lim(las, params, iters=5, momentum=momentum).samples
+        assert len(pools) == 1
+        assert np.array_equal(threaded, serial)
+
+    @pytest.mark.parametrize("frames", [1, 2])  # the first block empty, or one row
+    def test_one_and_two_frames_match_oracle(self, params, vowel_corpus, frames):
+        las = extract_las(vowel_corpus[0], params)[40 : 40 + frames]
+        for momentum in MOMENTA:
+            once = griffin_lim(las, params, iters=1, momentum=momentum).samples
+            want = oracles.griffin_lim_loop(las, params, iters=1, momentum=momentum)
+            assert np.array_equal(once, want.samples)
+            got = griffin_lim(las, params, iters=5, momentum=momentum).samples
+            expected = oracles.griffin_lim_loop(las, params, iters=5, momentum=momentum)
+            assert np.max(np.abs(got - expected.samples)) <= GL_ORACLE_ATOL
+
+    def test_concurrent_calls_under_fast_switching(self, params, vowel_corpus):
         # three calls at once run six block threads on the usable CPUs, with
         # the interpreter switching threads every microsecond
-        lases = [extract_las(wave, params)[: dsp._THREAD_MIN_FRAMES + 11 * i]
+        lases = [extract_las(wave, params)[: 128 + 11 * i]
                  for i, wave in enumerate(vowel_corpus[:3])]
-        monkeypatch.setattr(dsp, "_worker_count", lambda: 1)
         want = [griffin_lim(las, params, iters=5).samples for las in lases]
-        monkeypatch.setattr(dsp, "_worker_count", lambda: 2)
         got = [None] * len(lases)
 
         def call(i):
@@ -436,19 +448,8 @@ class TestGriffinLimThreads:
         for g, w in zip(got, want):
             assert g is not None and np.array_equal(g, w)
 
-    def test_short_input_runs_inline(self, params, vowel_corpus, monkeypatch):
-        las = extract_las(vowel_corpus[0], params)[: dsp._THREAD_MIN_FRAMES - 1]
-        _, pools = self._run(las, params, monkeypatch, 2)
-        assert pools == []
-
-    def test_one_usable_cpu_gives_one_block(self, monkeypatch):
-        monkeypatch.setattr(dsp.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert dsp._worker_count() == 1
-
     def test_pool_shut_down_when_an_iteration_raises(self, params, vowel_corpus, monkeypatch):
         las = extract_las(vowel_corpus[0], params)
-        assert las.shape[0] >= dsp._THREAD_MIN_FRAMES
-        monkeypatch.setattr(dsp, "_worker_count", lambda: 2)
         calls = itertools.count()
         rfft = np.fft.rfft
 

@@ -357,6 +357,12 @@ class TestFeatureTrack:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             self._track(**{name: value})
 
+    @pytest.mark.parametrize("name", ["frame_shift", "sample_rate"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_geometry_must_be_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be (>= 1|positive)"):
+            self._track(**{name: value})
+
     def test_numpy_integers_stored_as_int(self):
         track = self._track(frame_shift=np.int32(80), sample_rate=np.uint64(16000))
         assert type(track.frame_shift) is int and type(track.sample_rate) is int

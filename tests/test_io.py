@@ -316,10 +316,18 @@ class TestContainerCodec:
         assert (path.read_bytes() if path.exists() else None) == existing
 
     def test_negative_frame_shift_in_feature_file(self, tmp_path):
+        # the track itself refuses the shift, so no file is written
         path = tmp_path / "neg.aftk"
-        with pytest.raises(ValueError, match="frame_shift=-1"):
+        with pytest.raises(ValueError, match="frame_shift must be >= 1"):
             write_feature_file(path, dataclasses.replace(_track(), frame_shift=-1))
         assert not path.exists()
+
+    @pytest.mark.parametrize("frame_shift, sample_rate", [(0, 16000), (80, 0)])
+    def test_zero_geometry_in_feature_file_rejected(self, tmp_path, frame_shift, sample_rate):
+        path = tmp_path / "zero.aftk"
+        rawfiles.write_container(path, b"AFTK", np.zeros((3, 42)), frame_shift, sample_rate)
+        with pytest.raises(ValueError, match="(frame_shift|sample_rate) must be (>= 1|positive)"):
+            read_feature_file(path)
 
 
 class TestSpectrogramImage:

@@ -1,5 +1,6 @@
 """Tests for the objective evaluation metrics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -200,6 +201,19 @@ class TestFrameMismatchHandling:
             assert [w.filename for w in record] == [__file__]
 
 
+class TestGeometryMismatch:
+    @pytest.mark.parametrize("metric", [mcd_v_db, f0_rmse_cent, vuv_error_pct])
+    def test_tracks_of_different_geometry_rejected(self, metric):
+        ref = _voiced_track()
+        test = dataclasses.replace(ref, frame_shift=160, sample_rate=8000)
+        with pytest.raises(ValueError, match=r"\(80, 16000\) vs \(160, 8000\)"):
+            metric(ref, test)
+        with pytest.raises(ValueError, match=r"\(160, 8000\) vs \(80, 16000\)"):
+            metric(test, ref)
+        with pytest.raises(ValueError, match=r"\(80, 16000\) vs \(80, 8000\)"):
+            metric(ref, dataclasses.replace(ref, sample_rate=8000))
+
+
 class TestEvalReport:
     def test_lines_format(self):
         report = EvalReport(frames_compared=42, snr_db=math.inf, las_rmse_db=1.25)
@@ -220,6 +234,14 @@ class TestEvalReport:
             EvalReport(frames_compared=5, vuv_error_pct=101.0)
         with pytest.raises(ValueError):
             EvalReport(frames_compared=5, las_rmse_db=math.inf)
+
+    @pytest.mark.parametrize("value", [1.5, 3.0, True])
+    def test_frames_compared_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="frames_compared must be an integer"):
+            EvalReport(frames_compared=value)
+        report = EvalReport(frames_compared=np.int64(3))
+        assert type(report.frames_compared) is int
+        assert report.lines() == ["frames_compared\t3"]
 
     @pytest.mark.parametrize("value", [math.nan, -math.inf])
     def test_snr_only_takes_positive_infinity(self, value):
