@@ -1,8 +1,10 @@
 """Command-line pipeline: analyze, recover, refine, evaluate, resynth, plot.
 
 Exit codes: 0 on success, 1 for usage errors, 2 for data or format errors.
-File headers supply frame shift and sample rate; explicit flags and every
-input's header must agree.
+Analysis geometry comes from the inputs: ``analyze`` takes the WAV's sample
+rate and ``--frame-shift``, every other command takes frame shift and sample
+rate from its inputs' headers, which must agree; every other analysis
+parameter is the AnalysisParams default.
 """
 
 import argparse
@@ -16,18 +18,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
-
-_PARAM_FLAGS = (  # analysis flag, AnalysisParams field, type
-    ("sample-rate", "sample_rate", int),
-    ("frame-len", "frame_len", int),
-    ("frame-shift", "frame_shift", int),
-    ("fft-size", "fft_size", int),
-    ("alpha", "warp_alpha", float),
-    ("log-floor", "log_floor", float),
-)
-
-# the commands that take the analysis flags and check them against their inputs' headers
-_ANALYSIS_COMMANDS = ("analyze", "recover", "evaluate", "resynth")
 
 # input kind by file extension: what _read reads, what evaluate infers and its kind flags
 _KINDS = {".wav": "wav", ".lask": "las", ".aftk": "feat"}
@@ -58,27 +48,21 @@ def _kind(path) -> str:
     raise ValueError(f"cannot infer input kind of {path}; pass --wav, --las or --feat")
 
 
-def _agreed(args, *headers) -> dict:
-    """AnalysisParams fields set by the analysis flags in ``args`` (if any) and
-    by each input's (path, frame shift, sample rate) header, None where unset;
-    two sources giving one field different values are rejected, naming both."""
-    claims = [(f"--{flag}", field, vars(args).get(field)) for flag, field, _ in _PARAM_FLAGS]
-    for path, frame_shift, sample_rate in headers:
-        claims += [(path, "frame_shift", frame_shift), (path, "sample_rate", sample_rate)]
+def _agreed(*headers) -> dict:
+    """The frame shift and sample rate that the (path, frame shift, sample
+    rate) ``headers`` give, as AnalysisParams fields, leaving out a field no
+    header sets (a WAV stores no frame shift); two headers giving one field
+    different values are rejected, naming both."""
     agreed = {}
-    for source, field, value in claims:
-        if value is None:
-            continue
-        first_source, first = agreed.setdefault(field, (source, value))
-        if source != first_source and value != first:
-            raise ValueError(f"{field.replace('_', ' ')} mismatch: {first} from {first_source}, "
-                             f"{value} from {source}")
+    for path, *values in headers:
+        for field, value in zip(("frame_shift", "sample_rate"), values):
+            if value is None:
+                continue
+            first_path, first = agreed.setdefault(field, (path, value))
+            if value != first:
+                raise ValueError(f"{field.replace('_', ' ')} mismatch: {first} from {first_path}, "
+                                 f"{value} from {path}")
     return {field: value for field, (_, value) in agreed.items()}
-
-
-def _resolve_params(args, *headers) -> dsp.AnalysisParams:
-    """AnalysisParams from _agreed(args, *headers), other fields at their defaults."""
-    return dsp.AnalysisParams(**_agreed(args, *headers))
 
 
 def _analysis(params, *waves):
@@ -88,8 +72,8 @@ def _analysis(params, *waves):
 
 
 def _cmd_analyze(args):
-    wave, header = _read(args.input, "wav")
-    params = _resolve_params(args, header)
+    wave, _ = _read(args.input, "wav")
+    params = dsp.AnalysisParams(sample_rate=wave.sample_rate, frame_shift=args.frame_shift)
     (las,), (track,) = _analysis(params, wave)
     io.write_feature_file(args.output, track)
     if args.las:
@@ -99,7 +83,7 @@ def _cmd_analyze(args):
 
 def _cmd_recover(args):
     track, header = _read(args.input, "feat")
-    params = _resolve_params(args, header)
+    params = dsp.AnalysisParams(**_agreed(header))
     recovered = alas.recover_alas(track, params)
     io.write_las_file(args.output, recovered, params.frame_shift, params.sample_rate)
     return 0
@@ -118,7 +102,7 @@ def _cmd_refine_fit(args):
             pair, pair_headers = zip(*(_read(part, "las") for part in parts))
             pairs.append(pair)
             headers += pair_headers
-    _agreed(args, *headers)
+    _agreed(*headers)
     model = refine.fit_refiner(pairs)
     refine.save_refiner(model, args.output)
     return 0
@@ -134,7 +118,7 @@ def _cmd_refine_apply(args):
 def _cmd_evaluate(args):
     kind = args.mode or _kind(args.ref)
     (ref, ref_header), (test, test_header) = _read(args.ref, kind), _read(args.test, kind)
-    params = _resolve_params(args, ref_header, test_header)
+    params = dsp.AnalysisParams(**_agreed(ref_header, test_header))
     # (ref, test) per input kind; WAVs are analysed into the other two kinds
     pairs = dict.fromkeys(_KINDS.values())
     pairs[kind] = ref, test
@@ -154,7 +138,7 @@ def _cmd_evaluate(args):
 
 def _cmd_resynth(args):
     las, header = _read(args.input, "las")
-    wave = dsp.griffin_lim(las, _resolve_params(args, header), iters=args.iters)
+    wave = dsp.griffin_lim(las, dsp.AnalysisParams(**_agreed(header)), iters=args.iters)
     io.write_wav(args.output, wave)
     return 0
 
@@ -179,8 +163,11 @@ def _build_parser() -> _Parser:
         p.set_defaults(func=func)
         return p
 
-    command("analyze", _cmd_analyze, "extract acoustic features (and optionally LAS) from a WAV",
-            "input").add_argument("--las", default=None, help="also write the natural LAS here")
+    p = command("analyze", _cmd_analyze,
+                "extract acoustic features (and optionally LAS) from a WAV", "input")
+    p.add_argument("--las", default=None, help="also write the natural LAS here")
+    p.add_argument("--frame-shift", type=int, default=dsp.AnalysisParams.frame_shift,
+                   help="analysis frame shift in samples (default %(default)s)")
     command("recover", _cmd_recover, "recover approximate LAS from a feature file", "input")
     command("refine-fit", _cmd_refine_fit, "fit a per-bin refiner from a pairs manifest",
             "manifest")
@@ -197,11 +184,6 @@ def _build_parser() -> _Parser:
     command("resynth", _cmd_resynth, "Griffin-Lim resynthesis of a LAS file to WAV",
             "input").add_argument("--iters", type=int, default=60)
     command("plot", _cmd_plot, "write a PGM spectrogram of a LAS file", "input")
-
-    for name in _ANALYSIS_COMMANDS:
-        group = sub.choices[name].add_argument_group("analysis parameters")
-        for flag, field, kind in _PARAM_FLAGS:
-            group.add_argument(f"--{flag}", dest=field, type=kind, default=None)
     return parser
 
 

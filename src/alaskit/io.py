@@ -5,8 +5,9 @@ then its payload, read and written by one codec here. Feature files (magic
 AFTK) hold one row per frame: F0 followed by the 41 warped cepstral
 coefficients (energy first); the voicing flag is implicit in f0 > 0. LAS
 files (magic LASK) hold raw float32 log spectra. Both carry frame shift and
-sample rate so downstream commands can validate geometry. Refiner models
-(magic ALRF, see :mod:`alaskit.refine`) hold float64 gains and biases.
+sample rate, each at least 1, so downstream commands can validate geometry.
+Refiner models (magic ALRF, see :mod:`alaskit.refine`) hold float64 gains
+and biases.
 """
 
 import struct
@@ -20,7 +21,6 @@ from .features import MCEP_ORDER, FeatureTrack
 FEATURE_MAGIC = b"AFTK"
 FEATURE_DIMS = MCEP_ORDER + 2  # F0, then the energy and mel-cepstral coefficients
 LAS_MAGIC = b"LASK"
-_REFINER_MAGIC = b"ALRF"
 _VERSION = 1
 
 
@@ -75,6 +75,7 @@ def write_las_file(path, las: np.ndarray, frame_shift: int, sample_rate: int) ->
     las = np.asarray(las, dtype=np.float64)
     if las.ndim != 2 or las.size == 0:
         raise ValueError("LAS matrix must be a non-empty 2-D array")
+    _check_las_geometry(path, frame_shift, sample_rate)
     _write_container(path, LAS_MAGIC, dict(frames=las.shape[0], bins=las.shape[1],
                      frame_shift=frame_shift, sample_rate=sample_rate), _float32_rows(las))
 
@@ -82,7 +83,17 @@ def write_las_file(path, las: np.ndarray, frame_shift: int, sample_rate: int) ->
 def read_las_file(path) -> tuple[np.ndarray, int, int]:
     """Return (las, frame_shift, sample_rate) from a LAS container."""
     (n, bins, frame_shift, sample_rate), payload = _read_container(path, LAS_MAGIC, 4)
+    _check_las_geometry(path, frame_shift, sample_rate)
     return _payload_rows(path, payload, n, bins, "<f4"), frame_shift, sample_rate
+
+
+def _check_las_geometry(path, frame_shift, sample_rate) -> None:
+    """The rule a feature track keeps, for a LAS header: frame shift and
+    sample rate are at least 1. Only 0 is tested here, since the codec
+    refuses every value that is not a u32."""
+    if frame_shift == 0 or sample_rate == 0:
+        raise ValueError(f"{path}: LAS frame shift and sample rate must be >= 1, "
+                         f"got {frame_shift} and {sample_rate}")
 
 
 def _float32_rows(values: np.ndarray) -> np.ndarray:

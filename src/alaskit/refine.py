@@ -9,7 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import _check_las, _read_only_float64
-from .io import _REFINER_MAGIC, _payload_rows, _read_container, _write_container
+from .io import _payload_rows, _read_container, _write_container
+
+_REFINER_MAGIC = b"ALRF"  # the .alrf container's magic, see save_refiner
 
 
 @dataclass(frozen=True, eq=False)

@@ -267,6 +267,22 @@ class TestLasFile:
         with pytest.raises(ValueError, match="inconsistent"):
             read_las_file(path)
 
+    @pytest.mark.parametrize("frame_shift, sample_rate", [(0, 16000), (80, 0), (0, 0)])
+    def test_writer_rejects_zero_geometry(self, tmp_path, frame_shift, sample_rate):
+        path = tmp_path / "zero.lask"
+        with pytest.raises(ValueError, match="frame shift and sample rate must be >= 1"):
+            write_las_file(path, np.zeros((2, 3)), frame_shift, sample_rate)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("frame_shift, sample_rate", [(0, 16000), (80, 0), (0, 0)])
+    def test_reader_rejects_zero_geometry_naming_the_file(self, tmp_path, frame_shift,
+                                                          sample_rate):
+        path = tmp_path / "zero.lask"
+        rawfiles.write_container(path, b"LASK", np.zeros((2, 3)), frame_shift, sample_rate)
+        with pytest.raises(ValueError, match="frame shift and sample rate must be >= 1") as exc:
+            read_las_file(path)
+        assert str(path) in str(exc.value)
+
 
 class TestContainerCodec:
     """All three containers go through one writer: the bytes match the

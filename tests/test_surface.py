@@ -17,18 +17,15 @@ PUBLIC_NAMES = [
     "write_las_file", "write_wav",
 ]
 
-_ANALYSIS = {"--sample-rate": None, "--frame-len": None, "--frame-shift": None,
-             "--fft-size": None, "--alpha": None, "--log-floor": None}
-
 # per subcommand: each argument (positional name, or its option strings) and its default
 COMMANDS = {
-    "analyze": {"input": None, "-o --output": None, "--las": None, **_ANALYSIS},
-    "recover": {"input": None, "-o --output": None, **_ANALYSIS},
+    "analyze": {"input": None, "-o --output": None, "--las": None, "--frame-shift": 80},
+    "recover": {"input": None, "-o --output": None},
     "refine-fit": {"manifest": None, "-o --output": None},
     "refine-apply": {"model": None, "input": None, "-o --output": None},
     "evaluate": {"--ref": None, "--test": None, "--wav": None, "--las": None, "--feat": None,
-                 "-o --output": None, **_ANALYSIS},
-    "resynth": {"input": None, "-o --output": None, "--iters": 60, **_ANALYSIS},
+                 "-o --output": None},
+    "resynth": {"input": None, "-o --output": None, "--iters": 60},
     "plot": {"input": None, "-o --output": None},
 }
 
