@@ -8,6 +8,7 @@ parameter is the AnalysisParams default.
 """
 
 import argparse
+import dataclasses
 import sys
 
 from . import alas, dsp, features, io, metrics, refine
@@ -50,9 +51,10 @@ def _kind(path) -> str:
 
 def _agreed(*headers) -> dict:
     """The frame shift and sample rate that the (path, frame shift, sample
-    rate) ``headers`` give, as AnalysisParams fields, leaving out a field no
-    header sets (a WAV stores no frame shift); two headers giving one field
-    different values are rejected, naming both."""
+    rate) ``headers`` give, by AnalysisParams field, each as the (path,
+    value) of the first header to set it, leaving out a field no header sets
+    (a WAV stores no frame shift); two headers giving one field different
+    values are rejected, naming both."""
     agreed = {}
     for path, *values in headers:
         for field, value in zip(("frame_shift", "sample_rate"), values):
@@ -62,7 +64,21 @@ def _agreed(*headers) -> dict:
             if value != first:
                 raise ValueError(f"{field.replace('_', ' ')} mismatch: {first} from {first_path}, "
                                  f"{value} from {path}")
-    return {field: value for field, (_, value) in agreed.items()}
+    return agreed
+
+
+def _params(*headers) -> dsp.AnalysisParams:
+    """AnalysisParams with the frame shift and sample rate that the (path,
+    frame shift, sample rate) ``headers`` agree on (see _agreed), every other
+    field at its default; a value AnalysisParams refuses is a ValueError
+    prefixed with the path of the header that gave it."""
+    params = dsp.AnalysisParams()
+    for field, (path, value) in _agreed(*headers).items():
+        try:
+            params = dataclasses.replace(params, **{field: value})
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    return params
 
 
 def _analysis(params, *waves):
@@ -83,7 +99,7 @@ def _cmd_analyze(args):
 
 def _cmd_recover(args):
     track, header = _read(args.input, "feat")
-    params = dsp.AnalysisParams(**_agreed(header))
+    params = _params(header)
     recovered = alas.recover_alas(track, params)
     io.write_las_file(args.output, recovered, params.frame_shift, params.sample_rate)
     return 0
@@ -118,7 +134,7 @@ def _cmd_refine_apply(args):
 def _cmd_evaluate(args):
     kind = args.mode or _kind(args.ref)
     (ref, ref_header), (test, test_header) = _read(args.ref, kind), _read(args.test, kind)
-    params = dsp.AnalysisParams(**_agreed(ref_header, test_header))
+    params = _params(ref_header, test_header)
     # (ref, test) per input kind; WAVs are analysed into the other two kinds
     pairs = dict.fromkeys(_KINDS.values())
     pairs[kind] = ref, test
@@ -138,7 +154,7 @@ def _cmd_evaluate(args):
 
 def _cmd_resynth(args):
     las, header = _read(args.input, "las")
-    wave = dsp.griffin_lim(las, dsp.AnalysisParams(**_agreed(header)), iters=args.iters)
+    wave = dsp.griffin_lim(las, _params(header), iters=args.iters)
     io.write_wav(args.output, wave)
     return 0
 

@@ -49,21 +49,24 @@ class AnalysisParams:
         for name in ("sample_rate", "frame_len", "frame_shift", "fft_size"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if self.frame_len < 2:
-            raise ValueError("frame_len must be >= 2")
+            raise ValueError(f"frame_len must be >= 2, got {self.frame_len}")
         if self.frame_len % 2 != 0:
-            raise ValueError("frame_len must be even (zero-phase window centering)")
+            raise ValueError(f"frame_len must be even (zero-phase window centering), "
+                             f"got {self.frame_len}")
         if self.frame_shift < 1 or self.frame_shift > self.frame_len:
-            raise ValueError("frame_shift must be in [1, frame_len]")
+            raise ValueError(f"frame_shift must be in [1, frame_len], got {self.frame_shift} "
+                             f"with frame_len {self.frame_len}")
         if self.fft_size < self.frame_len:
-            raise ValueError("fft_size must be >= frame_len")
+            raise ValueError(f"fft_size must be >= frame_len, got {self.fft_size} "
+                             f"with frame_len {self.frame_len}")
         if self.fft_size & (self.fft_size - 1) != 0:
-            raise ValueError("fft_size must be a power of two")
+            raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
         if not 0.0 <= self.warp_alpha < 1.0:
-            raise ValueError("warp_alpha must be in [0, 1)")
+            raise ValueError(f"warp_alpha must be in [0, 1), got {self.warp_alpha!r}")
         if not 0.0 < self.log_floor < math.inf:  # false for NaN
-            raise ValueError("log_floor must be finite and positive")
+            raise ValueError(f"log_floor must be finite and positive, got {self.log_floor!r}")
 
     @property
     def num_bins(self) -> int:
@@ -136,6 +139,15 @@ def _check_sample_rate(wave: Waveform, params: AnalysisParams) -> None:
         raise ValueError(f"waveform at {wave.sample_rate} Hz, params at {params.sample_rate} Hz")
 
 
+def _check_peak(wave: Waveform, limit: float, analysis: str, overflow: str) -> None:
+    """Refuse a non-empty ``wave`` holding a |sample| above ``limit``: the
+    ValueError names the ``analysis`` and says what would ``overflow``."""
+    peak = max(float(wave.samples.max()), -float(wave.samples.min()))
+    if peak > limit:
+        raise ValueError(f"{analysis} analysis needs samples of magnitude at most {limit:.3g} "
+                         f"({overflow}), got {peak:.3g}")
+
+
 def frame_signal(wave: Waveform, params: AnalysisParams) -> np.ndarray:
     """Cut a waveform into overlapping frames of length ``params.frame_len``.
 
@@ -160,11 +172,7 @@ def extract_las(wave: Waveform, params: AnalysisParams) -> np.ndarray:
     frames = _frames(wave.samples, num_frames(len(wave), shift), length, shift)
     # |X[k]| is at most the peak times the window's sum, frame_len / 2, so
     # this limit leaves a factor 2 of headroom inside the FFT.
-    limit = np.finfo(np.float64).max / length
-    peak = max(float(wave.samples.max()), -float(wave.samples.min()))
-    if peak > limit:
-        raise ValueError(f"LAS analysis needs samples of magnitude at most {limit:.3g} "
-                         f"(the spectra overflow), got {peak:.3g}")
+    _check_peak(wave, np.finfo(np.float64).max / length, "LAS", "the spectra overflow")
     padded = np.zeros((frames.shape[0], params.fft_size))
     np.multiply(frames, hann_window(length), out=padded[:, :length])
     las = np.abs(np.fft.rfft(padded, axis=1))

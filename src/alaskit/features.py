@@ -5,7 +5,6 @@ energy coefficient and 40 mel-cepstral coefficients, extracted on the same
 frame grid as the log amplitude spectra.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -14,6 +13,7 @@ import numpy as np
 from .dsp import (
     AnalysisParams,
     Waveform,
+    _check_peak,
     _check_sample_rate,
     _frames,
     _integer,
@@ -89,10 +89,11 @@ def estimate_f0(wave: Waveform, params: AnalysisParams) -> tuple[np.ndarray, np.
     its peak |sample| small enough that the energy products stay finite
     (about 5.4e75 at the default geometry); a larger one is a ValueError.
 
-    Two stages: a per-frame loop correlates only the lags the search and the
-    fit read, energy-normalised, into the rows of a chunk of about 32768
-    values; the peak pick and the fit then run on the whole chunk at once
-    (:func:`_f0_from_correlation`).
+    The frames go in chunks of about 32768 correlation values. Per frame
+    there are only the frame energy and the correlation at the lags the
+    search and the fit read; the normalisation by the lagged energies, the
+    RMS gate, the peak pick and the fit (:func:`_f0_from_correlation`) run
+    on the whole chunk at once.
     """
     _check_sample_rate(wave, params)
     fs, shift, length = params.sample_rate, params.frame_shift, params.frame_len
@@ -110,36 +111,31 @@ def estimate_f0(wave: Waveform, params: AnalysisParams) -> tuple[np.ndarray, np.
     # the frame energy length * peak^2, so a lagged energy times the frame
     # energy stays finite up to this peak.
     limit = (np.finfo(np.float64).max / (length * (length + lag_max))) ** 0.25
-    peak = max(float(wave.samples.max()), -float(wave.samples.min()))
-    if peak > limit:
-        raise ValueError(f"F0 analysis needs samples of magnitude at most {limit:.3g} "
-                         f"(the energy products overflow), got {peak:.3g}")
+    _check_peak(wave, limit, "F0", "the energy products overflow")
     # r is kept for lags lo..lag_max only: the span lag_min..lag_max and the
     # one lag below it that the parabolic fit reads (lag_min >= 1, as fs >= F0_MAX).
     lo = lag_min - 1
-    lags = lag_max - lo + 1
-    chunk = max(1, 32768 // lags)
-    power = np.empty(length + lag_max)
-    cumulative = np.zeros(length + lag_max + 1)  # cumulative[0] stays 0
-    running, upper, lower = cumulative[1:], cumulative[length + lo :], cumulative[lo : lag_max + 1]
-    rows = np.empty((min(chunk, n), lags))
+    chunk = max(1, 32768 // (lag_max - lo + 1))
     for start in range(0, n, chunk):
-        block = rows[: min(chunk, n - start)]
-        block.fill(0.0)  # a gated frame keeps r = 0: unvoiced
-        for r, seg in zip(block, segments[start : start + chunk]):
-            base = seg[:length]
-            base_energy = float(base @ base)
-            if math.sqrt(base_energy / length) < RMS_GATE:
-                continue
-            np.multiply(seg, seg, out=power)
-            np.add.accumulate(power, out=running)
-            np.subtract(upper, lower, out=r)  # lagged energies
-            np.multiply(r, base_energy, out=r)
-            np.add(r, 1e-300, out=r)
-            np.sqrt(r, out=r)
-            np.divide(np.correlate(seg[lo:], base, "valid"), r, out=r)
-        f0[start : start + block.shape[0]] = _f0_from_correlation(block, lo, fs)
+        f0[start : start + chunk] = _f0_from_correlation(
+            _normalized_correlation(segments[start : start + chunk], lo, length), lo, fs)
     return f0, f0 > 0
+
+
+def _normalized_correlation(segments: np.ndarray, lo: int, length: int) -> np.ndarray:
+    """Per row of ``segments``, the correlation of its first ``length``
+    samples with the ``length`` samples from each lag lo onward, divided by
+    the square root of the product of their energies; 0 on a row under
+    RMS_GATE."""
+    energy = np.array([seg[:length] @ seg[:length] for seg in segments])
+    r = np.array([np.correlate(seg[lo:], seg[:length], "valid") for seg in segments])
+    # cumulative[:, k]: the energy of a row's first k samples
+    cumulative = np.zeros((segments.shape[0], segments.shape[1] + 1))
+    np.cumsum(segments * segments, axis=1, out=cumulative[:, 1:])
+    r /= np.sqrt((cumulative[:, length + lo :] - cumulative[:, lo : -length]) * energy[:, None]
+                 + 1e-300)
+    r[np.sqrt(energy / length) < RMS_GATE] = 0.0  # a gated frame reads as unvoiced
+    return r
 
 
 def _f0_from_correlation(r: np.ndarray, lo: int, fs: int) -> np.ndarray:
@@ -157,8 +153,6 @@ def _f0_from_correlation(r: np.ndarray, lo: int, fs: int) -> np.ndarray:
     span = r[:, 1:]
     peak = span.max(axis=1)
     voiced = np.flatnonzero(peak >= VOICING_THRESHOLD)
-    if voiced.size == 0:
-        return f0
     span = span[voiced]
     first = np.argmax(span >= 0.97 * peak[voiced, None], axis=1)
     # falls[:, j]: the span does not rise from j to j + 1; the last lag ends every climb

@@ -35,13 +35,14 @@ def read_wav(path) -> Waveform:
         raise ValueError(f"malformed WAV file {path}: {reason}") from exc
     with reader:
         if reader.getnchannels() != 1:
-            raise ValueError("mono required")
+            raise ValueError(f"{path}: mono required, got {reader.getnchannels()} channels")
         if reader.getsampwidth() != 2 or reader.getcomptype() != "NONE":
-            raise ValueError("16-bit PCM required")
+            raise ValueError(f"{path}: 16-bit PCM required, got {8 * reader.getsampwidth()}-bit "
+                             "samples")
         rate = reader.getframerate()
         raw = reader.readframes(reader.getnframes())
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return Waveform(samples, rate)
+    return _built(path, Waveform, samples=samples, sample_rate=rate)
 
 
 def write_wav(path, wave: Waveform) -> None:
@@ -66,9 +67,18 @@ def read_feature_file(path) -> FeatureTrack:
     (n, dims, frame_shift, sample_rate), payload = _read_container(path, FEATURE_MAGIC, 4)
     rows = _payload_rows(path, payload, n, dims, "<f4")
     if dims != FEATURE_DIMS:
-        raise ValueError(f"feature file has {dims} dims, expected {FEATURE_DIMS}")
-    return FeatureTrack(f0=rows[:, 0], mcep=rows[:, 1:], frame_shift=frame_shift,
-                        sample_rate=sample_rate)
+        raise ValueError(f"{path}: feature file has {dims} dims, expected {FEATURE_DIMS}")
+    return _built(path, FeatureTrack, f0=rows[:, 0], mcep=rows[:, 1:], frame_shift=frame_shift,
+                  sample_rate=sample_rate)
+
+
+def _built(path, cls, **fields):
+    """``cls(**fields)``, read from ``path``: a ValueError that ``cls``
+    raises is prefixed with the path."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_las_file(path, las: np.ndarray, frame_shift: int, sample_rate: int) -> None:
@@ -133,9 +143,9 @@ def _read_container(path, magic: bytes, n_fields: int) -> tuple[list[int], bytes
             raise ValueError(f"truncated header in {path}")
         got_magic, version, *fields = header.unpack(head)
         if got_magic != magic:
-            raise ValueError(f"bad magic {got_magic!r} (expected {magic!r})")
+            raise ValueError(f"{path}: bad magic {got_magic!r} (expected {magic!r})")
         if version != _VERSION:
-            raise ValueError(f"unsupported version {version}")
+            raise ValueError(f"{path}: unsupported version {version}")
         return fields, fh.read()
 
 
@@ -146,9 +156,11 @@ def _payload_rows(path, payload: bytes, rows: int, dims: int, dtype: str) -> np.
         raise ValueError(f"{path} holds {rows} rows of {dims} values; both must be positive")
     expected = rows * dims * np.dtype(dtype).itemsize
     if len(payload) < expected:
-        raise ValueError(f"truncated payload: {len(payload)} bytes, header implies {expected}")
+        raise ValueError(f"{path}: truncated payload: {len(payload)} bytes, "
+                         f"header implies {expected}")
     if len(payload) > expected:
-        raise ValueError(f"payload size {len(payload)} inconsistent with header ({expected})")
+        raise ValueError(f"{path}: payload size {len(payload)} inconsistent with header "
+                         f"({expected})")
     values = np.frombuffer(payload, dtype=dtype).reshape(rows, dims)
     # checked before the cast: casting a signalling NaN raises numpy's invalid flag
     if not np.all(np.isfinite(values)):

@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import warnings
+import wave as wave_module
 
 import numpy as np
 import pytest
@@ -155,7 +156,7 @@ def test_evaluate_reads_both_inputs_as_the_inferred_kind(tmp_path, capsys, utter
     las, feat = tmp_path / "x.lask", tmp_path / "y.aftk"
     assert cli.main(["analyze", str(utterance_wav), "-o", str(feat), "--las", str(las)]) == 0
     assert cli.main(["evaluate", "--ref", str(las), "--test", str(feat)]) == 2
-    assert "bad magic" in capsys.readouterr().err
+    assert f"{feat}: bad magic b'AFTK' (expected b'LASK')" in capsys.readouterr().err
 
 
 def test_evaluate_unknown_extension_exits_two(tmp_path):
@@ -390,6 +391,33 @@ def test_resynth_of_zero_frame_shift_las_names_the_file(tmp_path, capsys):
     assert cli.main(["resynth", str(las), "-o", str(out)]) == 2
     assert str(las) in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["resynth", "recover"])
+def test_frame_shift_beyond_frame_len_names_the_file_and_value(tmp_path, capsys, command):
+    # the codec takes a shift-400 header; AnalysisParams refuses it at frame_len 320
+    if command == "resynth":
+        source = tmp_path / "s400.lask"
+        write_las_file(source, np.zeros((5, 257)), 400, 16000)
+    else:
+        source = tmp_path / "s400.aftk"
+        rawfiles.write_container(source, b"AFTK", np.zeros((5, 42)), frame_shift=400)
+    out = tmp_path / "out"
+    assert cli.main([command, str(source), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"alaskit: error: {source}: frame_shift must be in [1, frame_len], got 400" in err
+    assert not out.exists()
+
+
+def test_evaluate_of_stereo_test_wav_names_it(tmp_path, capsys, utterance_wav):
+    stereo = tmp_path / "stereo.wav"
+    with wave_module.open(str(stereo), "wb") as writer:
+        writer.setnchannels(2)
+        writer.setsampwidth(2)
+        writer.setframerate(16000)
+        writer.writeframes(b"\x00\x00" * 400)
+    assert cli.main(["evaluate", "--ref", str(utterance_wav), "--test", str(stereo)]) == 2
+    assert f"{stereo}: mono required" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

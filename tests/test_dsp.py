@@ -533,6 +533,20 @@ class TestAnalysisParams:
         with pytest.raises(ValueError):
             AnalysisParams(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, value", [
+        (dict(sample_rate=0), "got 0"),
+        (dict(frame_len=1), "got 1"),
+        (dict(frame_len=321, fft_size=512), "got 321"),
+        (dict(frame_shift=400), "got 400 with frame_len 320"),
+        (dict(fft_size=256), "got 256 with frame_len 320"),
+        (dict(fft_size=600), "got 600"),
+        (dict(warp_alpha=1.0), "got 1.0"),
+        (dict(log_floor=math.nan), "got nan"),
+    ])
+    def test_range_errors_state_the_value(self, kwargs, value):
+        with pytest.raises(ValueError, match=f"must .*, {value}$"):
+            AnalysisParams(**kwargs)
+
     @pytest.mark.parametrize("field", ["sample_rate", "frame_len", "frame_shift", "fft_size"])
     @pytest.mark.parametrize("kind", [float, str, bool])
     def test_non_integer_geometry_rejected(self, field, kind):

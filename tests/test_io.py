@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import re
 import struct
 import warnings
 import wave as wave_module
@@ -59,6 +60,23 @@ class TestWav:
             writer.setframerate(16000)
             writer.writeframes(b"\x00\x00" * 400)
         with pytest.raises(ValueError, match="mono required"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("channels, width, rate, message", [
+        (2, 2, 16000, "mono required, got 2 channels"),
+        (1, 1, 16000, "16-bit PCM required, got 8-bit samples"),
+        (1, 2, 0, "sample_rate must be positive"),
+    ])
+    def test_format_errors_name_the_file(self, tmp_path, channels, width, rate, message):
+        # the wave module refuses to write a zero rate, so the header is packed here
+        fmt = struct.pack("<HHIIHH", 1, channels, rate, rate * channels * width,
+                          channels * width, 8 * width)
+        data = b"\x00" * (4 * channels * width)
+        body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + b"data"
+        path = tmp_path / "odd.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body) + 4 + len(data)) + body
+                         + struct.pack("<I", len(data)) + data)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
             read_wav(path)
 
     def test_malformed_file(self, tmp_path):
@@ -337,6 +355,26 @@ class TestContainerCodec:
         with pytest.raises(ValueError, match="frame_shift must be >= 1"):
             write_feature_file(path, dataclasses.replace(_track(), frame_shift=-1))
         assert not path.exists()
+
+    @pytest.mark.parametrize("damage, message", [
+        ("magic", "bad magic b'LASK' (expected b'AFTK')"),
+        ("version", "unsupported version 2"),
+        ("cut", "truncated payload: 164 bytes, header implies 168"),
+        ("grown", "payload size 172 inconsistent with header (168)"),
+        ("dims", "feature file has 41 dims, expected 42"),
+        ("f0", "f0 must be finite and nonnegative"),
+    ])
+    def test_format_errors_name_the_file(self, tmp_path, damage, message):
+        path = tmp_path / "damaged.aftk"
+        rows = np.zeros((1, 41 if damage == "dims" else 42))
+        rows[0, 0] = -1.0 if damage == "f0" else 0.0
+        rawfiles.write_container(path, b"LASK" if damage == "magic" else b"AFTK", rows)
+        data = bytearray(path.read_bytes())
+        if damage == "version":
+            struct.pack_into("<I", data, 4, 2)
+        path.write_bytes({"cut": data[:-4], "grown": data + b"\x00" * 4}.get(damage, data))
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
+            read_feature_file(path)
 
     @pytest.mark.parametrize("frame_shift, sample_rate", [(0, 16000), (80, 0)])
     def test_zero_geometry_in_feature_file_rejected(self, tmp_path, frame_shift, sample_rate):
