@@ -33,6 +33,8 @@ def _read(path, kind):
     (path, frame shift, sample rate) header; a WAV stores no frame shift."""
     if kind == "wav":
         wave = io.read_wav(path)
+        if len(wave) == 0:
+            raise ValueError(f"{path}: no samples")
         return wave, (path, None, wave.sample_rate)
     if kind == "las":
         las, frame_shift, sample_rate = io.read_las_file(path)
@@ -118,6 +120,8 @@ def _cmd_refine_fit(args):
             pair, pair_headers = zip(*(_read(part, "las") for part in parts))
             pairs.append(pair)
             headers += pair_headers
+    if not pairs:
+        raise ValueError(f"{args.manifest}: no training pairs")
     _agreed(*headers)
     model = refine.fit_refiner(pairs)
     refine.save_refiner(model, args.output)

@@ -89,11 +89,11 @@ def estimate_f0(wave: Waveform, params: AnalysisParams) -> tuple[np.ndarray, np.
     its peak |sample| small enough that the energy products stay finite
     (about 5.4e75 at the default geometry); a larger one is a ValueError.
 
-    The frames go in chunks of about 32768 correlation values. Per frame
-    there are only the frame energy and the correlation at the lags the
-    search and the fit read; the normalisation by the lagged energies, the
-    RMS gate, the peak pick and the fit (:func:`_f0_from_correlation`) run
-    on the whole chunk at once.
+    The frames go in chunks of about 32768 correlation values, and each
+    step runs on the whole chunk at once: the frame energies, the
+    correlation at the lags the search and the fit read, the normalisation
+    by the lagged energies and the RMS gate (:func:`_normalized_correlation`),
+    then the peak pick and the fit (:func:`_f0_from_correlation`).
     """
     _check_sample_rate(wave, params)
     fs, shift, length = params.sample_rate, params.frame_shift, params.frame_len
@@ -126,9 +126,12 @@ def _normalized_correlation(segments: np.ndarray, lo: int, length: int) -> np.nd
     """Per row of ``segments``, the correlation of its first ``length``
     samples with the ``length`` samples from each lag lo onward, divided by
     the square root of the product of their energies; 0 on a row under
-    RMS_GATE."""
-    energy = np.array([seg[:length] @ seg[:length] for seg in segments])
-    r = np.array([np.correlate(seg[lo:], seg[:length], "valid") for seg in segments])
+    RMS_GATE. The energies and the correlations are each one np.vecdot over
+    all rows, which rounds each value as ``seg @ seg`` and np.correlate do."""
+    energy = np.vecdot(segments[:, :length], segments[:, :length])
+    # r[i, k]: row i's first ``length`` samples dotted with its ``length`` from lag lo + k
+    r = np.vecdot(np.lib.stride_tricks.sliding_window_view(segments[:, lo:], length, axis=1),
+                  segments[:, None, :length])
     # cumulative[:, k]: the energy of a row's first k samples
     cumulative = np.zeros((segments.shape[0], segments.shape[1] + 1))
     np.cumsum(segments * segments, axis=1, out=cumulative[:, 1:])

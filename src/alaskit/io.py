@@ -50,7 +50,8 @@ def write_wav(path, wave: Waveform) -> None:
     if wave.sample_rate > 0x7FFFFFFF:  # the header's u32 byte rate is twice the rate
         raise ValueError(f"a PCM16 WAV cannot store a sample rate of {wave.sample_rate} Hz")
     quantized = np.clip(np.rint(wave.samples * 32768.0), -32768, 32767).astype("<i2")
-    with wave_module.open(str(path), "wb") as writer:
+    # wave.open on a path it cannot create leaves a writer whose __del__ fails
+    with open(path, "wb") as fh, wave_module.open(fh, "wb") as writer:
         writer.setnchannels(1)
         writer.setsampwidth(2)
         writer.setframerate(wave.sample_rate)

@@ -302,6 +302,15 @@ def test_refine_fit_rejects_malformed_manifest_line(tmp_path, capsys, line):
     assert not model.exists()
 
 
+def test_refine_fit_of_manifest_without_pairs_names_it(tmp_path, capsys):
+    manifest = tmp_path / "pairs.txt"
+    manifest.write_text("\n  \n")
+    model = tmp_path / "m.alrf"
+    assert cli.main(["refine-fit", str(manifest), "-o", str(model)]) == 2
+    assert f"alaskit: error: {manifest}: no training pairs" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_refine_fit_skips_blank_lines(tmp_path):
     path = tmp_path / "x.lask"
     write_las_file(path, np.zeros((5, 257)), 80, 16000)
@@ -420,6 +429,36 @@ def test_evaluate_of_stereo_test_wav_names_it(tmp_path, capsys, utterance_wav):
     assert f"{stereo}: mono required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "evaluate"])
+def test_wav_without_samples_names_it(tmp_path, capsys, utterance_wav, command):
+    empty = tmp_path / "empty.wav"
+    write_wav(empty, Waveform(np.zeros(0), 16000))
+    argv = (["analyze", str(empty), "-o", str(tmp_path / "e.aftk")] if command == "analyze"
+            else ["evaluate", "--wav", "--ref", str(utterance_wav), "--test", str(empty)])
+    assert cli.main(argv) == 2
+    assert f"alaskit: error: {empty}: no samples" in capsys.readouterr().err
+
+
+def _subprocess_env():
+    """os.environ with this alaskit's source directory first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(alaskit.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_resynth_to_unwritable_path_prints_one_error_line(tmp_path):
+    las = tmp_path / "a.lask"
+    write_las_file(las, np.zeros((5, 257)), 80, 16000)
+    out = tmp_path / "absent" / "s.wav"
+    done = subprocess.run([sys.executable, "-m", "alaskit.cli", "resynth", str(las), "-o",
+                           str(out), "--iters", "1"], env=_subprocess_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith("alaskit: error: ")
+    assert str(out) in done.stderr and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+
+
 @pytest.fixture(scope="module")
 def valid_inputs(tmp_path_factory):
     """A small valid file of each kind the CLI reads."""
@@ -474,12 +513,9 @@ def test_non_finite_inputs_exit_two(tmp_path):
 
 
 def test_cli_import_does_not_load_scipy():
-    src = os.path.dirname(os.path.dirname(alaskit.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     # concurrent.futures imports logging; griffin_lim imports it only when it runs
     unloaded = ("scipy", "concurrent.futures", "logging")
     code = f"import sys, alaskit.cli; print([m for m in {unloaded!r} if m in sys.modules])"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"

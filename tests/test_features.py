@@ -88,10 +88,12 @@ class TestEstimateF0:
             for samples in (wave.samples, wave.samples[:-37]):
                 _assert_matches_oracle(samples, params)
 
-    @pytest.mark.parametrize("rate, shift", [(8000, 80), (22050, 80), (44100, 80), (16000, 96)])
+    @pytest.mark.parametrize("rate, shift", [(8000, 80), (22050, 80), (44100, 80), (16000, 96),
+                                            (192000, 80)])
     def test_matches_padded_buffer_search_at_other_geometry(self, rate, shift):
-        # lag_min and lag_max scale with the rate; a shift of 96 moves every
-        # frame off the 80-sample grid
+        # lag_min and lag_max scale with the rate (at 192 kHz a chunk is 9
+        # frames of 3458 lags); a shift of 96 moves every frame off the
+        # 80-sample grid
         params = AnalysisParams(sample_rate=rate, frame_shift=shift)
         vowel = vowelgen.synth_vowel([110.0, 230.0, 470.0], 0.6, rate, 41,
                                      vowelgen.FORMANT_SETS[0]).samples
