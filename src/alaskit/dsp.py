@@ -122,16 +122,22 @@ def _frame_view(span: np.ndarray, length: int, shift: int, writeable: bool = Fal
     return np.lib.stride_tricks.sliding_window_view(span, length, writeable=writeable)[::shift]
 
 
-def _frames(samples: np.ndarray, n: int, length: int, shift: int) -> np.ndarray:
-    """Exactly n >= 1 frames of ``length`` samples on the ``shift`` grid, the
-    samples zero-padded or truncated to the (n-1)*shift + length it spans,
-    as a _frame_view of that span."""
+def _padded(samples: np.ndarray, n: int, length: int, shift: int) -> np.ndarray:
+    """The (n-1)*shift + length samples that n >= 1 frames of ``length``
+    samples on the ``shift`` grid span: the samples zero-padded or
+    truncated to that size, in a new array."""
     if n < 1:
         raise ValueError("empty input")
     span = np.zeros((n - 1) * shift + length)
     kept = min(span.size, samples.size)
     span[:kept] = samples[:kept]
-    return _frame_view(span, length, shift)
+    return span
+
+
+def _frames(samples: np.ndarray, n: int, length: int, shift: int) -> np.ndarray:
+    """Exactly n >= 1 frames of ``length`` samples on the ``shift`` grid, as
+    a _frame_view of the _padded span."""
+    return _frame_view(_padded(samples, n, length, shift), length, shift)
 
 
 def _check_sample_rate(wave: Waveform, params: AnalysisParams) -> None:

@@ -22,12 +22,16 @@ index grid, and the per-frame overlap-add Griffin-Lim (with or without
 momentum) with its angle/exp phase round trip are kept below as their
 references.
 
-The library's F0 search scans only the lags it reads, in buffers made once
-per call, and picks the peaks of a chunk of frames at once, climbing to the
-shortest near-peak maximum. Its reference below slices each frame from its
-own padded buffer, scans every lag from 0 to ceil(fs/F0_MIN), and picks one
-frame at a time with its own peak pick over a local-maximum mask and its
-own parabolic fit, so the two share only the constants.
+The library's F0 search scans only the lags it reads, sums each frame's
+products and energies from shift-wide blocks shared with the frames that
+overlap it, and picks the peaks of a chunk of frames at once, climbing to
+the shortest near-peak maximum. Its reference below slices each frame from
+its own padded buffer, correlates the frame whole, takes each lagged energy
+as its own dot product, scans every lag from 0 to ceil(fs/F0_MIN), and
+picks one frame at a time with its own peak pick over a local-maximum mask
+and its own parabolic fit, so the two share only the constants. The sums
+round in another order, so the tests compare F0 within a stated tolerance,
+and exactly on the 16-bit PCM grid, where every sum is exact.
 """
 
 import numpy as np
@@ -150,7 +154,9 @@ def estimate_f0_padded(samples, params):
 def autocorrelation_padded(samples, params):
     """Per frame, the normalized autocorrelation r at every lag 0 to
     ceil(fs/F0_MIN), from the frame's own padded buffer; None for a frame
-    under the RMS gate."""
+    under the RMS gate. Each lagged energy is the dot product of its window
+    with itself, not a difference of running sums, which cancellation would
+    spoil after a loud stretch."""
     fs, shift, length = params.sample_rate, params.frame_shift, params.frame_len
     lag_max = int(np.ceil(fs / F0_MIN))
     n = -(-samples.size // shift)
@@ -165,9 +171,9 @@ def autocorrelation_padded(samples, params):
             rows.append(None)
             continue
         corr = np.correlate(seg, base, mode="valid")
-        sq = np.concatenate(([0.0], np.cumsum(seg * seg)))
-        energies = sq[length:] - sq[: lag_max + 1]
-        rows.append(corr / np.sqrt(base_energy * energies + 1e-300))
+        windows = np.lib.stride_tricks.sliding_window_view(seg, length)
+        energies = np.vecdot(windows, windows)  # seg[k : k + length] @ seg[k : k + length]
+        rows.append(corr / np.sqrt(energies * base_energy + 1e-300))
     return rows
 
 
