@@ -81,7 +81,7 @@ def filter_spectrum(mcep_with_energy: np.ndarray, params: AnalysisParams) -> np.
     if not (log_filter <= _EXP_MAX).all():  # also false for NaN
         raise ValueError(f"mel-cepstra too large: their log filter spectrum exceeds {_EXP_MAX}, "
                          "where exp overflows")
-    return np.exp(log_filter)
+    return np.exp(log_filter, out=log_filter)
 
 
 @lru_cache(maxsize=8)
@@ -109,11 +109,13 @@ def recover_alas(track: FeatureTrack, params: AnalysisParams) -> np.ndarray:
     if (track.frame_shift, track.sample_rate) != (params.frame_shift, params.sample_rate):
         raise ValueError(f"track geometry {track.frame_shift}/{track.sample_rate} (frame shift/"
                          f"sample rate) differs from params {params.frame_shift}/{params.sample_rate}")
-    excitation = excitation_spectrum(track.f0, params)
-    source_filter = excitation * filter_spectrum(track.mcep, params)
+    source_filter = filter_spectrum(track.mcep, params)
+    source_filter *= excitation_spectrum(track.f0, params)
     with np.errstate(over="ignore", invalid="ignore"):
         convolved = source_filter @ _window_convolution_map(params)
     if not np.isfinite(convolved).all():
         raise ValueError("mel-cepstra too large: the window convolution of their "
                          "spectra overflows")
-    return np.log(np.maximum(np.abs(convolved), params.log_floor))
+    np.abs(convolved, out=convolved)
+    np.maximum(convolved, params.log_floor, out=convolved)
+    return np.log(convolved, out=convolved)

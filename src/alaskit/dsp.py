@@ -179,9 +179,7 @@ def extract_las(wave: Waveform, params: AnalysisParams) -> np.ndarray:
     # |X[k]| is at most the peak times the window's sum, frame_len / 2, so
     # this limit leaves a factor 2 of headroom inside the FFT.
     _check_peak(wave, np.finfo(np.float64).max / length, "LAS", "the spectra overflow")
-    padded = np.zeros((frames.shape[0], params.fft_size))
-    np.multiply(frames, hann_window(length), out=padded[:, :length])
-    las = np.abs(np.fft.rfft(padded, axis=1))
+    las = np.abs(np.fft.rfft(frames * hann_window(length), n=params.fft_size, axis=1))
     np.maximum(las, params.log_floor, out=las)
     return np.log(las, out=las)
 

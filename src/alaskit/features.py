@@ -96,8 +96,10 @@ def estimate_f0(wave: Waveform, params: AnalysisParams) -> tuple[np.ndarray, np.
     (:func:`_normalized_correlation`), then the peak pick and the fit
     (:func:`_f0_from_correlation`). Each frame is cut into pieces of at
     most frame_shift samples, so a chunk computes each sample product once,
-    not once per frame that overlaps it, and every energy is a direct sum
-    of squares. On samples on the 16-bit PCM grid, as every WAV gives, each
+    not once per frame that overlaps it. Every energy, the frame's and the
+    lagged ones, is read from one array of frame_len-wide window sums per
+    chunk, which only adds squares (no running sum, so no cancellation).
+    On samples on the 16-bit PCM grid, as every WAV gives, each
     product is an integer times 2**-30 and every sum is exact, so the output
     equals, to the bit, that of a search that correlates each frame whole;
     on other float samples the sums round in another order, and F0 agrees
@@ -142,15 +144,18 @@ def _normalized_correlation(span: np.ndarray, rows: int, lo: int, length: int,
     A frame is cut into pieces of at most ``shift`` samples, as _overlap_add
     cuts it, so piece c of frame i is the block of samples from (i + c) *
     shift. Per piece width, one np.vecdot correlates every block the frames
-    use with its lagged windows, and one np.convolve sums the squares over
-    every window of that width; strided views of those sums at the lags and
-    at the block starts are the blocks' lagged and own energies. A frame's
-    correlations and energies are its pieces' rows summed in piece order.
+    use with its lagged windows, and a frame's correlations are its pieces'
+    rows summed in piece order. The energies come from one array over the
+    span, the squares of every ``length``-sample window summed
+    (:func:`_window_sums`): read at the frame starts, it gives the frames'
+    energies, and through a strided view at the lags, their lagged ones.
     """
     lag_max = span.size - (rows - 1) * shift - length
-    r = np.zeros((rows, lag_max - lo + 1))
-    lagged = np.zeros_like(r)
-    energy = np.zeros(rows)
+    # sums[j]: the squares of span[j : j + length], summed
+    sums = _window_sums(span * span, length)
+    energy = sums[::shift][:rows]
+    lagged = _frame_view(sums[lo:], lag_max - lo + 1, shift)[:rows] * energy[:, None]
+    r = np.zeros_like(lagged)
     full, rest = divmod(length, shift)
     # the full-width pieces, then a narrower last one where shift does not divide length
     for first, count, width in [(0, full, shift), (full, 1, rest)][: 1 + (rest > 0)]:
@@ -159,17 +164,30 @@ def _normalized_correlation(span: np.ndarray, rows: int, lo: int, length: int,
         blocks = _frame_view(part, lag_max + width, shift)
         corr = np.vecdot(np.lib.stride_tricks.sliding_window_view(blocks[:, lo:], width, axis=1),
                          blocks[:, None, :width])
-        # sums[j]: the squares of part[j : j + width], summed
-        sums = np.convolve(part * part, np.ones(width), "valid")
         for c in range(count):
             r += corr[c : c + rows]
-            lagged += _frame_view(sums[c * shift + lo :], r.shape[1], shift)[:rows]
-            energy += sums[c * shift :: shift][:rows]
-    lagged *= energy[:, None]
     lagged += 1e-300
     r /= np.sqrt(lagged, out=lagged)
     r[np.sqrt(energy / length) < RMS_GATE] = 0.0  # a gated frame reads as unvoiced
     return r
+
+
+def _window_sums(x: np.ndarray, width: int) -> np.ndarray:
+    """sums[j] = x[j : j + width].sum() for every window of ``width`` >= 1
+    samples inside ``x``, built by doubling: the sums of widths 1, 2, 4, ...
+    each from two of the width before, and one add into the result per set
+    bit of ``width`` (at 320, the sums of widths 64 and 256)."""
+    n = x.size - width + 1
+    sums = np.zeros(n)
+    size, done, power = 1, 0, x  # power[j]: x[j : j + size] summed
+    while True:
+        if width & size:
+            sums += power[done : done + n]
+            done += size
+        if 2 * size > width:
+            return sums
+        power = power[:-size] + power[size:]
+        size *= 2
 
 
 def _f0_from_correlation(r: np.ndarray, lo: int, fs: int) -> np.ndarray:

@@ -96,8 +96,10 @@ def las_rmse_db(ref: np.ndarray, test: np.ndarray) -> float:
     ref = _check_las(ref)
     ref, test = _truncate_rows(ref, _check_las(test, ref.shape[1]))
     with np.errstate(over="ignore"):  # the result is checked
-        diff = DB_PER_LOG * (ref - test)
-        return _finite("las_rmse_db", np.sqrt(np.mean(diff * diff)))
+        diff = np.subtract(ref, test)
+        diff *= DB_PER_LOG
+        diff *= diff
+        return _finite("las_rmse_db", np.sqrt(np.mean(diff)))
 
 
 def mcd_v_db(ref: FeatureTrack, test: FeatureTrack) -> float:

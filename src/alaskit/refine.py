@@ -46,7 +46,8 @@ def fit_refiner(pairs) -> RefinerModel:
     with at least one frame and finite, with matching shapes and one bin
     count. Bins whose recovered values are (numerically) constant get
     gain 1 and the mean residual as bias. Statistics are accumulated pair
-    by pair, in two passes: means, then centred moments.
+    by pair, in two passes: means, then centred moments. Pairs whose sums,
+    moments or fitted parameters leave the float64 range are a ValueError.
     """
     pairs = list(pairs)
     if not pairs:
@@ -63,21 +64,25 @@ def fit_refiner(pairs) -> RefinerModel:
                              f"got {np.shape(recovered)} after {np.shape(pairs[0][0])}")
         checked.append((_check_las(recovered), _check_las(natural)))
     count = sum(recovered.shape[0] for recovered, _ in checked)
-    x_sum = y_sum = 0.0
-    for x, y in checked:
-        x_sum += x.sum(axis=0)
-        y_sum += y.sum(axis=0)
-    x_mean, y_mean = x_sum / count, y_sum / count
-    x_sq = xy = 0.0
-    for x, y in checked:
-        dx = x - x_mean
-        x_sq += np.einsum("ij,ij->j", dx, dx)
-        xy += np.einsum("ij,ij->j", dx, y - y_mean)
-    x_var, covariance = x_sq / count, xy / count
-    degenerate = x_var < 1e-12
-    safe_var = np.where(degenerate, 1.0, x_var)
-    gain = np.where(degenerate, 1.0, covariance / safe_var)
-    bias = y_mean - gain * x_mean
+    with np.errstate(over="ignore", invalid="ignore"):  # the statistics are checked below
+        x_sum = y_sum = 0.0
+        for x, y in checked:
+            x_sum += x.sum(axis=0)
+            y_sum += y.sum(axis=0)
+        x_mean, y_mean = x_sum / count, y_sum / count
+        x_sq = xy = 0.0
+        for x, y in checked:
+            dx = x - x_mean
+            x_sq += np.einsum("ij,ij->j", dx, dx)
+            xy += np.einsum("ij,ij->j", dx, y - y_mean)
+        x_var, covariance = x_sq / count, xy / count
+        degenerate = x_var < 1e-12
+        safe_var = np.where(degenerate, 1.0, x_var)
+        gain = np.where(degenerate, 1.0, covariance / safe_var)
+        bias = y_mean - gain * x_mean
+    # a mean that overflows makes the moments and the bias non-finite too
+    if not all(np.isfinite(v).all() for v in (x_var, covariance, gain, bias)):
+        raise ValueError("the pairs' statistics overflow the float64 range")
     return RefinerModel(gain=gain, bias=bias)
 
 
@@ -86,7 +91,8 @@ def apply_refiner(model: RefinerModel, alas: np.ndarray) -> np.ndarray:
     value past the float64 range is a ValueError."""
     alas = _check_las(alas, model.num_bins)
     with np.errstate(over="ignore", invalid="ignore"):  # the result is checked below
-        out = alas * model.gain + model.bias
+        out = alas * model.gain
+        out += model.bias
     if not np.isfinite(out).all():
         raise ValueError("the refiner's gains or biases take the LAS past the float64 range")
     return out

@@ -3,6 +3,7 @@ and full-frame reconstruction, with the batched maps checked against the
 per-frame oracles in ``oracles.py``."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -494,6 +495,39 @@ class TestRecoverAlas:
             b = las[i] - las[i].mean()
             rs.append(float(a @ b / math.sqrt((a @ a) * (b @ b))))
         assert np.mean(rs) >= 0.8
+
+    def test_equals_the_unfused_composition_to_the_bit(self, params, vowel_corpus):
+        # the in-place exp, product, magnitude, floor and log round as the
+        # expression that allocates each step does
+        for wave in vowel_corpus:
+            track = extract_features(wave, params)
+            source_filter = (excitation_spectrum(track.f0, params)
+                             * filter_spectrum(track.mcep, params))
+            expected = np.log(np.maximum(np.abs(source_filter @ _window_convolution_map(params)),
+                                         params.log_floor))
+            assert np.array_equal(recover_alas(track, params), expected)
+
+    def test_result_owns_its_memory(self, params, vowel_corpus):
+        assert recover_alas(extract_features(vowel_corpus[0], params), params).flags.owndata
+
+    def test_memory_peak(self, params):
+        # at 1600 frames x 257 bins one (frames, bins) array takes 3.3 MB: the
+        # filter spectra, which take the excitation in place, and the
+        # convolved spectra, which take the magnitude, floor and log in
+        # place, make 6.6 MB; the excitation is freed once multiplied in.
+        # One more (frames, bins) temporary at the peak adds 3.3 MB.
+        rng = np.random.default_rng(5)
+        track = FeatureTrack(f0=np.where(np.arange(1600) % 3, 150.0, 0.0),
+                             mcep=0.1 * rng.standard_normal((1600, 41)),
+                             frame_shift=80, sample_rate=16000)
+        recover_alas(track, params)  # the cached maps are built outside the trace
+        tracemalloc.start()
+        try:
+            recover_alas(track, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.5e6
 
     def test_deterministic(self, params, vowel_corpus):
         track = extract_features(vowel_corpus[3], params)

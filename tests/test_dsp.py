@@ -255,6 +255,25 @@ class TestExtractLas:
             with pytest.raises(ValueError, match="the spectra overflow"):
                 extract_las(Waveform(np.full(2000, amplitude), 16000), params)
 
+    def test_memory_peak(self, params):
+        # 8 s at 16 kHz is 1600 frames: the padded signal takes 1.03 MB, the
+        # windowed frames 4.1 MB and the complex spectra 6.6 MB, about 11.7 MB
+        # together; a (frames, fft_size) zero-padded FFT buffer adds 6.6 MB,
+        # and any (frames, bins) temporary 3.3 MB.
+        wave = Waveform(0.5 * np.sin(2 * np.pi * 200.0 * np.arange(128000) / 16000), 16000)
+        tracemalloc.start()
+        try:
+            las = extract_las(wave, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert las.shape == (1600, params.num_bins)
+        assert peak <= 12.5e6
+
+    def test_result_owns_its_memory(self, params, sine_1khz):
+        # a view would keep the FFT's complex spectra alive behind it
+        assert extract_las(sine_1khz, params).flags.owndata
+
 
 def _magnitude_error(signal, las, params):
     """Frobenius distance between |STFT(signal)| over las.shape[0] frames and exp(las)."""

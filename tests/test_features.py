@@ -112,6 +112,18 @@ class TestEstimateF0:
         f0, vuv = _assert_matches_oracle(samples, params)
         assert vuv.any()
 
+    def test_matches_padded_buffer_search_at_a_frame_len_of_several_set_bits(self):
+        # 300 = 256 + 32 + 8 + 4: the window sums add four doubled widths,
+        # and a shift of 80 leaves a last piece of 60
+        params = AnalysisParams(frame_len=300)
+        samples = vowelgen.synth_vowel([120.0, 260.0], 0.4, params.sample_rate, 44,
+                                       vowelgen.FORMANT_SETS[1]).samples
+        f0, vuv = _assert_matches_oracle(samples, params)
+        assert vuv.any()
+        grid = np.round(samples * 32768.0) / 32768.0
+        f0 = estimate_f0(Waveform(grid, params.sample_rate), params)[0]
+        assert np.array_equal(f0, oracles.estimate_f0_padded(grid, params)[0])
+
     @pytest.mark.parametrize("rate, shift", [(8000, 80), (22050, 80), (44100, 80), (16000, 96),
                                             (192000, 80)])
     def test_matches_padded_buffer_search_at_other_geometry(self, rate, shift):
@@ -274,6 +286,29 @@ class TestEstimateF0:
             tracemalloc.stop()
         assert peak < bound
         assert vuv.any() == (rate != 16_000_000)
+
+
+class TestWindowSums:
+    WIDTHS = [1, 2, 3, 7, 80, 255, 256, 320]
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_integers_match_convolution_exactly(self, width):
+        # every partial sum of integers this small is exact, in any order
+        x = np.random.default_rng(width).integers(0, 2**30, 1000).astype(np.float64)
+        sums = features._window_sums(x, width)
+        assert np.array_equal(sums, np.convolve(x, np.ones(width), "valid"))
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_floats_match_convolution_within_rounding(self, width):
+        # nonnegative terms, summed in another order (6.9e-16 relative seen)
+        x = np.random.default_rng(width).uniform(0.0, 1.0, 1000) ** 2
+        sums = features._window_sums(x, width)
+        np.testing.assert_allclose(sums, np.convolve(x, np.ones(width), "valid"),
+                                   rtol=1e-13, atol=0)
+
+    def test_one_window_spanning_the_input(self):
+        x = np.arange(1.0, 8.0)
+        np.testing.assert_array_equal(features._window_sums(x, 7), [28.0])
 
 
 class TestMcepAnalysis:

@@ -16,6 +16,7 @@ from alaskit import (
     vuv_error_pct,
 )
 from alaskit.features import FeatureTrack
+from alaskit.metrics import DB_PER_LOG
 
 
 def _track(f0, mcep=None):
@@ -94,6 +95,13 @@ class TestLasRmse:
                 total += d * d
         expected = math.sqrt(total / (50 * 257))
         assert las_rmse_db(ref, test) == pytest.approx(expected, abs=1e-12)
+
+    def test_equals_the_unfused_expression_to_the_bit(self):
+        rng = np.random.default_rng(35)
+        ref = rng.standard_normal((50, 257))
+        test = rng.standard_normal((50, 257))
+        diff = DB_PER_LOG * (ref - test)
+        assert las_rmse_db(ref, test) == float(np.sqrt(np.mean(diff * diff)))
 
     def test_bin_mismatch(self):
         with pytest.raises(ValueError):

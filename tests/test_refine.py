@@ -40,6 +40,19 @@ class TestFitRefiner:
         with pytest.raises(ValueError, match="no training pairs"):
             fit_refiner([])
 
+    @pytest.mark.parametrize("x, y", [
+        (np.array([[1e308] * 3, [-1e308] * 3]), np.array([[1e308] * 3, [-1e308] * 3])),
+        (np.array([[1.0] * 3, [-1.0] * 3]), np.array([[1e308] * 3, [-1e308] * 3])),
+        (np.full((3, 3), 1e308), np.full((3, 3), 1e308)),
+    ], ids=["centred-moments", "cross-moment", "sums"])
+    def test_float64_overflow_rejected_without_warning(self, x, y):
+        # finite pairs whose centred moments (x * x, x * y) or sums leave the
+        # float64 range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="statistics overflow the float64 range"):
+                fit_refiner([(x, y)])
+
     def test_lists_are_coerced_to_float64(self):
         model = RefinerModel(gain=[1, 2], bias=[0.0, -1.0])
         assert model.gain.dtype == model.bias.dtype == np.float64
@@ -104,6 +117,14 @@ class TestApplyRefiner:
         alas, las = pairs[5]
         refined = apply_refiner(model, alas)
         assert np.mean((refined - las) ** 2) < np.mean((alas - las) ** 2)
+
+    def test_equals_alas_times_gain_plus_bias_to_the_bit(self):
+        rng = np.random.default_rng(26)
+        model = RefinerModel(gain=rng.uniform(0.5, 1.5, 257), bias=rng.standard_normal(257))
+        alas = _random_pair(27)
+        refined = apply_refiner(model, alas)
+        assert (refined == alas * model.gain + model.bias).all()
+        assert refined.flags.owndata
 
     def test_bin_count_mismatch(self):
         model = RefinerModel(gain=np.ones(8), bias=np.zeros(8))
