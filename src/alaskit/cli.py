@@ -118,6 +118,14 @@ def _cmd_refine_fit(args):
             if len(parts) != 2:
                 raise ValueError(f"{args.manifest}:{line_no}: expected '<alas>\\t<las>'")
             pair, pair_headers = zip(*(_read(part, "las") for part in parts))
+            recovered, natural = pair
+            where = f"{args.manifest}:{line_no}"
+            if recovered.shape != natural.shape:
+                raise ValueError(f"{where}: pair shape mismatch: {parts[0]} {recovered.shape} vs "
+                                 f"{parts[1]} {natural.shape}")
+            if pairs and recovered.shape[1] != pairs[0][0].shape[1]:
+                raise ValueError(f"{where}: bin count mismatch: {parts[0]} {recovered.shape} vs "
+                                 f"{headers[0][0]} {pairs[0][0].shape} of the first pair")
             pairs.append(pair)
             headers += pair_headers
     if not pairs:

@@ -195,23 +195,23 @@ def _f0_from_correlation(r: np.ndarray, lo: int, fs: int) -> np.ndarray:
     lags lo..lo + r.shape[1] - 1; 0 where the peak over lags lo + 1 onward
     is below VOICING_THRESHOLD.
 
-    The chosen lag is the shortest local maximum within 3% of the peak, to
-    dodge period multiples: from the first lag at 0.97 * peak or above,
-    climb while r rises strictly. Lags before the climb's top are no local
-    maximum, and the top is one. A three-point parabolic fit refines it,
-    except at the last lag or on a flat top.
+    The chosen lag is the first one from lo + 1 on where r reaches 0.97 *
+    peak and, unless it is the last lag, does not rise at the next one.
+    That is the shortest local maximum within 3% of the peak, which dodges
+    period multiples: r stays below 0.97 * peak before the first lag that
+    reaches it, rises strictly from there to the top of that climb, and
+    the top reaches 0.97 * peak and does not rise after it. A three-point
+    parabolic fit refines the lag, except at the last lag or on a flat top.
     """
     f0 = np.zeros(r.shape[0])
-    span = r[:, 1:]
-    peak = span.max(axis=1)
+    peak = r[:, 1:].max(axis=1)
     voiced = np.flatnonzero(peak >= VOICING_THRESHOLD)
-    span = span[voiced]
-    first = np.argmax(span >= 0.97 * peak[voiced, None], axis=1)
-    # falls[:, j]: the span does not rise from j to j + 1; the last lag ends every climb
-    falls = np.ones(span.shape, dtype=bool)
-    np.less_equal(span[:, 1:], span[:, :-1], out=falls[:, :-1])
-    falls &= np.arange(span.shape[1]) >= first[:, None]
-    lag = np.argmax(falls, axis=1) + 1  # index into r
+    rows = r[voiced]
+    # picks[:, j]: lag lo + j qualifies; lag lo is there only for the fit
+    picks = rows >= 0.97 * peak[voiced, None]
+    picks[:, :-1] &= rows[:, 1:] <= rows[:, :-1]
+    picks[:, 0] = False
+    lag = np.argmax(picks, axis=1)
     last = r.shape[1] - 1
     inner = lag < last
     at = np.minimum(lag, last - 1)  # the fit's centre, kept inside r where there is no fit

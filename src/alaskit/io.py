@@ -40,7 +40,10 @@ def read_wav(path) -> Waveform:
             raise ValueError(f"{path}: 16-bit PCM required, got {8 * reader.getsampwidth()}-bit "
                              "samples")
         rate = reader.getframerate()
-        raw = reader.readframes(reader.getnframes())
+        frames = reader.getnframes()
+        raw = reader.readframes(frames)
+    if len(raw) < 2 * frames:
+        raise ValueError(f"malformed WAV file {path}: the file ends inside its data chunk")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return _built(path, Waveform, samples=samples, sample_rate=rate)
 

@@ -24,12 +24,13 @@ references.
 
 The library's F0 search scans only the lags it reads, sums each frame's
 products and energies from shift-wide blocks shared with the frames that
-overlap it, and picks the peaks of a chunk of frames at once, climbing to
-the shortest near-peak maximum. Its reference below slices each frame from
-its own padded buffer, correlates the frame whole, takes each lagged energy
-as its own dot product, scans every lag from 0 to ceil(fs/F0_MIN), and
-picks one frame at a time with its own peak pick over a local-maximum mask
-and its own parabolic fit, so the two share only the constants. The sums
+overlap it, and picks the peaks of a chunk of frames at once, from one
+mask of the lags that reach 0.97 of the peak and do not rise. Its
+reference below slices each frame from its own padded buffer, correlates
+the frame whole, takes each lagged energy as its own dot product, scans
+every lag from 0 to ceil(fs/F0_MIN), and picks one frame at a time with
+its own peak pick over a local-maximum mask and its own parabolic fit, so
+the two share only the constants. The sums
 round in another order, so the tests compare F0 within a stated tolerance,
 and exactly on the 16-bit PCM grid, where every sum is exact.
 """

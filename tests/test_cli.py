@@ -311,6 +311,26 @@ def test_refine_fit_of_manifest_without_pairs_names_it(tmp_path, capsys):
     assert not model.exists()
 
 
+@pytest.mark.parametrize("shapes, message", [
+    ([(100, 257), (100, 257), (100, 257), (103, 257)],
+     "pair shape mismatch: {2} (100, 257) vs {3} (103, 257)"),
+    ([(100, 257), (100, 257), (100, 129), (100, 129)],
+     "bin count mismatch: {2} (100, 129) vs {0} (100, 257) of the first pair"),
+], ids=["frames", "bins"])
+def test_refine_fit_names_the_line_of_a_mismatched_pair(tmp_path, capsys, shapes, message):
+    # before: "pair shape mismatch: (100, 257) vs (103, 257)" or "bin count
+    # mismatch: ...", naming no line and no file
+    paths = [tmp_path / f"{i}.lask" for i in range(4)]
+    for path, shape in zip(paths, shapes):
+        write_las_file(path, np.zeros(shape), 80, 16000)
+    manifest = tmp_path / "pairs.txt"
+    manifest.write_text(f"{paths[0]}\t{paths[1]}\n\n{paths[2]}\t{paths[3]}\n")
+    model = tmp_path / "m.alrf"
+    assert cli.main(["refine-fit", str(manifest), "-o", str(model)]) == 2
+    assert f"{manifest}:3: {message.format(*paths)}" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_refine_fit_skips_blank_lines(tmp_path):
     path = tmp_path / "x.lask"
     write_las_file(path, np.zeros((5, 257)), 80, 16000)

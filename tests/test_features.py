@@ -311,6 +311,58 @@ class TestWindowSums:
         np.testing.assert_array_equal(features._window_sums(x, 7), [28.0])
 
 
+def _f0_from_rows_oracle(r, lo, fs):
+    """_f0_from_correlation one row at a time, by the oracle's local-maximum
+    peak pick and parabolic fit."""
+    f0 = np.zeros(len(r))
+    for i, row in enumerate(r):
+        span = row[1:]
+        peak = float(span.max())
+        if peak >= features.VOICING_THRESHOLD:
+            lag = 1 + oracles.pick_peak_lag(span, peak)
+            f0[i] = np.clip(fs / (lo + lag + oracles.parabolic_offset(row, lag)),
+                            features.F0_MIN, features.F0_MAX)
+    return f0
+
+
+class TestPeakPick:
+    # columns are lags 30..37 at 4 kHz: 133.3 down to 108.1 Hz, inside the clamp
+    CRAFTED = {
+        "plateau at the top": [0.0, 0.2, 0.5, 0.9, 0.9, 0.6, 0.3, 0.1],
+        "plateau of three": [0.0, 0.2, 0.9, 0.9, 0.9, 0.6, 0.3, 0.1],
+        "exactly 0.97 * peak": [0.0, 0.2, 0.97, 0.5, 0.3, 1.0, 0.4, 0.2],
+        "one ulp under 0.97 * peak": [0.0, 0.2, np.nextafter(0.97, 0.0), 0.5, 0.3, 1.0, 0.4, 0.2],
+        "climb past the first near-peak lag": [0.0, 0.5, 0.98, 0.99, 1.0, 0.7, 0.4, 0.2],
+        "top at the last lag": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8],
+        "top at the first searched lag": [0.0, 0.9, 0.5, 0.3, 0.2, 0.1, 0.3, 0.4],
+        "lag lo above 0.97 * peak": [1.0, 0.8, 0.6, 0.4, 0.5, 0.7, 0.8, 0.6],
+        "lag lo the only one above 0.97 * peak": [1.0, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0, 0.1],
+        "under the voicing threshold": [0.9, 0.1, 0.29, 0.2, 0.1, 0.0, 0.1, 0.2],
+        "at the voicing threshold": [0.0, 0.1, 0.3, 0.2, 0.1, 0.0, 0.1, 0.2],
+        "gated": [0.0] * 8,
+    }
+
+    def test_crafted_rows_match_oracle_exactly(self):
+        r = np.array(list(self.CRAFTED.values()))
+        f0 = features._f0_from_correlation(r, 30, 4000)
+        assert np.array_equal(f0, _f0_from_rows_oracle(r, 30, 4000))
+        assert (f0 > 0).tolist() == [True] * 9 + [False, True, False]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_rows_match_oracle_exactly(self, seed):
+        # decaying cosines plus noise, rounded to 0.01 so that ties and
+        # plateaus are common, some scaled under the voicing threshold
+        rng = np.random.default_rng(seed)
+        lags = np.arange(31, 322)
+        period, decay = rng.uniform(20.0, 330.0, (300, 1)), rng.uniform(100.0, 2000.0, (300, 1))
+        r = (np.cos(2 * np.pi * lags / period) * np.exp(-lags / decay)
+             + rng.normal(0.0, rng.uniform(0.0, 0.3, (300, 1)), (300, lags.size)))
+        r = np.round(r * rng.uniform(0.2, 1.0, (300, 1)), 2)
+        f0 = features._f0_from_correlation(r, 30, 16000)
+        assert np.array_equal(f0, _f0_from_rows_oracle(r, 30, 16000))
+        assert 0 < np.count_nonzero(f0) < len(f0)
+
+
 class TestMcepAnalysis:
     def test_flat_spectrum(self, params):
         coeffs = mcep_analysis(np.full(params.num_bins, 1.3), params)

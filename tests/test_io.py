@@ -114,6 +114,25 @@ class TestWav:
         with pytest.raises(ValueError, match="malformed WAV.*: the file ends inside its header"):
             read_wav(path)
 
+    @pytest.mark.parametrize("cut", [1, 2, 32000])
+    def test_file_cut_inside_data_chunk(self, tmp_path, cut):
+        # before: 15,999 samples (2 bytes), an empty waveform (every data
+        # byte) or numpy's "buffer size must be a multiple of element size"
+        path = tmp_path / "cut.wav"
+        write_wav(path, Waveform(np.full(16000, 0.25), 16000))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match=re.escape(
+                f"malformed WAV file {path}: the file ends inside its data chunk")):
+            read_wav(path)
+
+    def test_odd_data_chunk_size_reads_its_whole_samples(self, tmp_path):
+        path = tmp_path / "odd.wav"
+        write_wav(path, Waveform(np.array([0.25, -0.5]), 16000))
+        data = bytearray(path.read_bytes()[:-1])
+        data[40:44] = struct.pack("<I", 3)  # the data chunk's size: one sample and a half
+        path.write_bytes(bytes(data))
+        assert np.array_equal(read_wav(path).samples, [0.25])
+
 
 def _track(n=7, seed=37):
     rng = np.random.default_rng(seed)

@@ -2,6 +2,7 @@
 change this file in the same diff."""
 
 import argparse
+import inspect
 import types
 
 import alaskit
@@ -16,6 +17,15 @@ PUBLIC_NAMES = [
     "save_refiner", "snr_db", "vuv_error_pct", "warp_cepstrum", "write_feature_file",
     "write_las_file", "write_wav",
 ]
+
+# per public name: each parameter that has a default, and the default
+DEFAULTS = {
+    "AnalysisParams": {"sample_rate": 16000, "frame_len": 320, "frame_shift": 80,
+                       "fft_size": 512, "warp_alpha": 0.42, "log_floor": 1e-10},
+    "EvalReport": {"snr_db": None, "las_rmse_db": None, "mcd_v_db": None,
+                   "f0_rmse_cent": None, "vuv_error_pct": None},
+    "griffin_lim": {"iters": 60, "momentum": 0.99},
+}
 
 # per subcommand: each argument (positional name, or its option strings) and its default
 COMMANDS = {
@@ -42,3 +52,13 @@ def test_public_surface():
         for name, command in sub.choices.items()
     }
     assert commands == COMMANDS
+
+
+def test_library_defaults():
+    defaults = {}
+    for name in PUBLIC_NAMES:
+        parameters = inspect.signature(getattr(alaskit, name)).parameters.values()
+        pinned = {p.name: p.default for p in parameters if p.default is not p.empty}
+        if pinned:
+            defaults[name] = pinned
+    assert defaults == DEFAULTS
