@@ -33,8 +33,6 @@ def _read(path, kind):
     (path, frame shift, sample rate) header; a WAV stores no frame shift."""
     if kind == "wav":
         wave = io.read_wav(path)
-        if len(wave) == 0:
-            raise ValueError(f"{path}: no samples")
         return wave, (path, None, wave.sample_rate)
     if kind == "las":
         las, frame_shift, sample_rate = io.read_las_file(path)
@@ -76,10 +74,8 @@ def _params(*headers) -> dsp.AnalysisParams:
     prefixed with the path of the header that gave it."""
     params = dsp.AnalysisParams()
     for field, (path, value) in _agreed(*headers).items():
-        try:
+        with io._about(path):
             params = dataclasses.replace(params, **{field: value})
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
     return params
 
 
@@ -139,7 +135,8 @@ def _cmd_refine_fit(args):
 def _cmd_refine_apply(args):
     model = refine.load_refiner(args.model)
     las, (_, frame_shift, sample_rate) = _read(args.input, "las")
-    io.write_las_file(args.output, refine.apply_refiner(model, las), frame_shift, sample_rate)
+    with io._about(args.model, args.input):  # also the float32 range of the refined LAS
+        io.write_las_file(args.output, refine.apply_refiner(model, las), frame_shift, sample_rate)
     return 0
 
 
@@ -150,13 +147,14 @@ def _cmd_evaluate(args):
     # (ref, test) per input kind; WAVs are analysed into the other two kinds
     pairs = dict.fromkeys(_KINDS.values())
     pairs[kind] = ref, test
-    if kind == "wav":
-        pairs["las"], pairs["feat"] = _analysis(params, ref, test)
-    report = metrics.EvalReport(
-        frames_compared=min(map(len, pairs["las"] or pairs["feat"])),
-        **{name: getattr(metrics, name)(*pairs[source])
-           for name, source in _METRICS.items() if pairs[source]},
-    )
+    with io._about(args.ref, args.test):
+        if kind == "wav":
+            pairs["las"], pairs["feat"] = _analysis(params, ref, test)
+        report = metrics.EvalReport(
+            frames_compared=min(map(len, pairs["las"] or pairs["feat"])),
+            **{name: getattr(metrics, name)(*pairs[source])
+               for name, source in _METRICS.items() if pairs[source]},
+        )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(report.text())
@@ -166,8 +164,10 @@ def _cmd_evaluate(args):
 
 def _cmd_resynth(args):
     las, header = _read(args.input, "las")
-    wave = dsp.griffin_lim(las, _params(header), iters=args.iters)
-    io.write_wav(args.output, wave)
+    params = _params(header)
+    with io._about(args.input):
+        dsp._check_las(las, params.num_bins)
+    io.write_wav(args.output, dsp.griffin_lim(las, params, iters=args.iters))
     return 0
 
 

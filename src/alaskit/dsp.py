@@ -77,11 +77,11 @@ class AnalysisParams:
 class Waveform:
     """Mono PCM samples (float, nominally in [-1, 1]) with a sample rate.
 
-    ``samples`` must be 1-D and finite. It is stored as a read-only float64
-    view of what was given, so it shares memory with a float64 array passed
-    in (which stays writeable to its owner) and a checked waveform cannot be
-    changed through it; ``sample_rate`` is a positive integer, stored as
-    ``int``.
+    ``samples`` must be 1-D, non-empty and finite, so every analysis has at
+    least one frame. It is stored as a read-only float64 view of what was
+    given, so it shares memory with a float64 array passed in (which stays
+    writeable to its owner) and a checked waveform cannot be changed through
+    it; ``sample_rate`` is a positive integer, stored as ``int``.
     """
 
     samples: np.ndarray
@@ -94,7 +94,9 @@ class Waveform:
             raise ValueError("sample_rate must be positive")
         if self.samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        if self.samples.size and not np.all(np.isfinite(self.samples)):
+        if self.samples.size == 0:
+            raise ValueError("no samples")
+        if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must be finite")
 
     def __len__(self):
@@ -122,22 +124,15 @@ def _frame_view(span: np.ndarray, length: int, shift: int, writeable: bool = Fal
     return np.lib.stride_tricks.sliding_window_view(span, length, writeable=writeable)[::shift]
 
 
-def _padded(samples: np.ndarray, n: int, length: int, shift: int) -> np.ndarray:
-    """The (n-1)*shift + length samples that n >= 1 frames of ``length``
-    samples on the ``shift`` grid span: the samples zero-padded or
-    truncated to that size, in a new array."""
-    if n < 1:
-        raise ValueError("empty input")
-    span = np.zeros((n - 1) * shift + length)
-    kept = min(span.size, samples.size)
-    span[:kept] = samples[:kept]
+def _padded(samples: np.ndarray, length: int, shift: int) -> np.ndarray:
+    """The (n-1)*shift + length samples that the n = num_frames frames of
+    ``length`` samples on the ``shift`` grid span: the samples zero-padded
+    to that size, in a new array. As (n-1)*shift >= samples.size - shift,
+    the span holds every sample if length >= shift, which AnalysisParams
+    keeps (frame_shift <= frame_len)."""
+    span = np.zeros((num_frames(samples.size, shift) - 1) * shift + length)
+    span[: samples.size] = samples
     return span
-
-
-def _frames(samples: np.ndarray, n: int, length: int, shift: int) -> np.ndarray:
-    """Exactly n >= 1 frames of ``length`` samples on the ``shift`` grid, as
-    a _frame_view of the _padded span."""
-    return _frame_view(_padded(samples, n, length, shift), length, shift)
 
 
 def _check_sample_rate(wave: Waveform, params: AnalysisParams) -> None:
@@ -146,7 +141,7 @@ def _check_sample_rate(wave: Waveform, params: AnalysisParams) -> None:
 
 
 def _check_peak(wave: Waveform, limit: float, analysis: str, overflow: str) -> None:
-    """Refuse a non-empty ``wave`` holding a |sample| above ``limit``: the
+    """Refuse a ``wave`` holding a |sample| above ``limit``: the
     ValueError names the ``analysis`` and says what would ``overflow``."""
     peak = max(float(wave.samples.max()), -float(wave.samples.min()))
     if peak > limit:
@@ -160,8 +155,8 @@ def frame_signal(wave: Waveform, params: AnalysisParams) -> np.ndarray:
     Frame n starts at n*frame_shift; the tail is zero-padded so every frame
     has full length. Returns an (N, frame_len) array.
     """
-    shift = params.frame_shift
-    return _frames(wave.samples, num_frames(len(wave), shift), params.frame_len, shift).copy()
+    length, shift = params.frame_len, params.frame_shift
+    return _frame_view(_padded(wave.samples, length, shift), length, shift).copy()
 
 
 def extract_las(wave: Waveform, params: AnalysisParams) -> np.ndarray:
@@ -175,7 +170,7 @@ def extract_las(wave: Waveform, params: AnalysisParams) -> np.ndarray:
     """
     _check_sample_rate(wave, params)
     length, shift = params.frame_len, params.frame_shift
-    frames = _frames(wave.samples, num_frames(len(wave), shift), length, shift)
+    frames = _frame_view(_padded(wave.samples, length, shift), length, shift)
     # |X[k]| is at most the peak times the window's sum, frame_len / 2, so
     # this limit leaves a factor 2 of headroom inside the FFT.
     _check_peak(wave, np.finfo(np.float64).max / length, "LAS", "the spectra overflow")

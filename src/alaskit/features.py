@@ -112,7 +112,7 @@ def estimate_f0(wave: Waveform, params: AnalysisParams) -> tuple[np.ndarray, np.
     lag_min = int(fs / F0_MAX)
     lag_max = min(int(np.ceil(fs / F0_MIN)), len(wave))  # later lags meet only zero padding (r = 0)
     n = num_frames(len(wave), shift)
-    span = _padded(wave.samples, n, length + lag_max, shift)
+    span = _padded(wave.samples, length + lag_max, shift)
 
     f0 = np.zeros(n)
     if lag_max <= lag_min:

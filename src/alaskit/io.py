@@ -10,6 +10,7 @@ Refiner models (magic ALRF, see :mod:`alaskit.refine`) hold float64 gains
 and biases.
 """
 
+import contextlib
 import struct
 import wave as wave_module
 
@@ -45,7 +46,8 @@ def read_wav(path) -> Waveform:
     if len(raw) < 2 * frames:
         raise ValueError(f"malformed WAV file {path}: the file ends inside its data chunk")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return _built(path, Waveform, samples=samples, sample_rate=rate)
+    with _about(path):
+        return Waveform(samples, rate)
 
 
 def write_wav(path, wave: Waveform) -> None:
@@ -72,17 +74,19 @@ def read_feature_file(path) -> FeatureTrack:
     rows = _payload_rows(path, payload, n, dims, "<f4")
     if dims != FEATURE_DIMS:
         raise ValueError(f"{path}: feature file has {dims} dims, expected {FEATURE_DIMS}")
-    return _built(path, FeatureTrack, f0=rows[:, 0], mcep=rows[:, 1:], frame_shift=frame_shift,
-                  sample_rate=sample_rate)
+    with _about(path):
+        return FeatureTrack(f0=rows[:, 0], mcep=rows[:, 1:], frame_shift=frame_shift,
+                            sample_rate=sample_rate)
 
 
-def _built(path, cls, **fields):
-    """``cls(**fields)``, read from ``path``: a ValueError that ``cls``
-    raises is prefixed with the path."""
+@contextlib.contextmanager
+def _about(*paths):
+    """Prefix the ``paths`` whose values a ValueError raised in the block
+    refuses, joined by " vs ", to its message."""
     try:
-        return cls(**fields)
+        yield
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError(f"{' vs '.join(map(str, paths))}: {exc}") from exc
 
 
 def write_las_file(path, las: np.ndarray, frame_shift: int, sample_rate: int) -> None:

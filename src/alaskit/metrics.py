@@ -72,8 +72,6 @@ def snr_db(ref: Waveform, test: Waveform) -> float:
     if ref.sample_rate != test.sample_rate:
         raise ValueError("sample rate mismatch")
     n = min(len(ref), len(test))
-    if n == 0:
-        raise ValueError("empty signal")
     r = ref.samples[:n]
     t = test.samples[:n]
     with np.errstate(over="ignore"):  # the energies are checked below

@@ -1,8 +1,9 @@
-"""Containers written byte by byte, without the library writers, so tests
-can build files that the writers refuse to produce, such as payloads
-holding NaN or inf."""
+"""Containers and WAVs written byte by byte, without the library writers,
+so tests can build files that the writers refuse to produce, such as
+payloads holding NaN or inf, or a WAV without samples."""
 
 import struct
+import wave as wave_module
 
 import numpy as np
 
@@ -24,3 +25,12 @@ def write_refiner(path, gain, bias, context_radius: int = 0, version: int = 1) -
     gain, bias = np.asarray(gain, dtype="<f8"), np.asarray(bias, dtype="<f8")
     header = struct.pack("<4sIII", b"ALRF", version, gain.size, context_radius)
     path.write_bytes(header + gain.tobytes() + bias.tobytes())
+
+
+def write_empty_wav(path) -> None:
+    """A mono 16-bit PCM WAV at 16 kHz whose data chunk is empty."""
+    with wave_module.open(str(path), "wb") as writer:
+        writer.setnchannels(1)
+        writer.setsampwidth(2)
+        writer.setframerate(16000)
+        writer.writeframes(b"")

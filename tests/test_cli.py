@@ -452,11 +452,58 @@ def test_evaluate_of_stereo_test_wav_names_it(tmp_path, capsys, utterance_wav):
 @pytest.mark.parametrize("command", ["analyze", "evaluate"])
 def test_wav_without_samples_names_it(tmp_path, capsys, utterance_wav, command):
     empty = tmp_path / "empty.wav"
-    write_wav(empty, Waveform(np.zeros(0), 16000))
+    rawfiles.write_empty_wav(empty)
     argv = (["analyze", str(empty), "-o", str(tmp_path / "e.aftk")] if command == "analyze"
             else ["evaluate", "--wav", "--ref", str(utterance_wav), "--test", str(empty)])
     assert cli.main(argv) == 2
     assert f"alaskit: error: {empty}: no samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["resynth", "refine-apply", "evaluate"])
+def test_las_of_another_bin_count_names_the_files(tmp_path, capsys, command):
+    # before: "alaskit: error: LAS must be ..." with no file named
+    narrow, wide = tmp_path / "a129.lask", tmp_path / "a257.lask"
+    write_las_file(narrow, np.zeros((50, 129)), 80, 16000)
+    write_las_file(wide, np.zeros((50, 257)), 80, 16000)
+    model = tmp_path / "m.alrf"
+    alaskit.save_refiner(alaskit.RefinerModel(gain=np.ones(257), bias=np.zeros(257)), model)
+    out = tmp_path / "out"
+    argv, named = {
+        "resynth": (["resynth", str(narrow), "-o", str(out)], str(narrow)),
+        "refine-apply": (["refine-apply", str(model), str(narrow), "-o", str(out)],
+                         f"{model} vs {narrow}"),
+        "evaluate": (["evaluate", "--ref", str(wide), "--test", str(narrow), "--las"],
+                     f"{wide} vs {narrow}"),
+    }[command]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (f"alaskit: error: {named}: LAS must be (frames >= 1, 257), "
+                                       "got shape (50, 129)\n")
+    assert not out.exists()
+
+
+def test_resynth_iters_refusal_names_no_file(tmp_path, capsys):
+    las = tmp_path / "a.lask"
+    write_las_file(las, np.zeros((5, 257)), 80, 16000)
+    assert cli.main(["resynth", str(las), "-o", str(tmp_path / "o.wav"), "--iters", "0"]) == 2
+    assert capsys.readouterr().err == "alaskit: error: iters must be >= 1\n"
+
+
+@pytest.mark.parametrize("kind", ["wav-noise", "wav-silence", "feat"])
+def test_evaluate_without_commonly_voiced_frames_names_both_inputs(tmp_path, capsys, kind):
+    # before: "alaskit: error: no commonly voiced frames" with no file named
+    t = np.arange(16000) / 16000
+    sine = Waveform(0.5 * np.sin(2 * np.pi * 150 * t), 16000)
+    other = Waveform(0.01 * np.random.default_rng(7).standard_normal(16000)
+                     if kind == "wav-noise" else np.zeros(16000), 16000)
+    ref, test = tmp_path / "sine.wav", tmp_path / "other.wav"
+    write_wav(ref, sine)
+    write_wav(test, other)
+    if kind == "feat":
+        ref, test = tmp_path / "sine.aftk", tmp_path / "other.aftk"
+        write_feature_file(ref, extract_features(sine, AnalysisParams()))
+        write_feature_file(test, extract_features(other, AnalysisParams()))
+    assert cli.main(["evaluate", "--ref", str(ref), "--test", str(test)]) == 2
+    assert capsys.readouterr().err == f"alaskit: error: {ref} vs {test}: no commonly voiced frames\n"
 
 
 def _subprocess_env():

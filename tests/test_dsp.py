@@ -3,6 +3,7 @@
 import contextlib
 import itertools
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import oracles
 from alaskit import (
     AnalysisParams,
+    FeatureTrack,
     RefinerModel,
     Waveform,
     apply_refiner,
@@ -30,7 +32,7 @@ from alaskit import (
     las_rmse_db,
 )
 from alaskit import dsp
-from alaskit.dsp import _frames, _overlap_add
+from alaskit.dsp import _frame_view, _overlap_add, _padded
 
 # Griffin-Lim against the per-frame, angle/exp oracle: the overlap-add adds
 # in the loop's order, so one iteration is bit-identical; the phasor update
@@ -63,19 +65,20 @@ class TestFrameSignal:
         assert np.array_equal(frames[4][:80], samples[320:])
         assert not frames[4][80:].any()
 
-    def test_empty_input(self, params):
-        with pytest.raises(ValueError, match="empty input"):
-            frame_signal(Waveform(np.zeros(0), 16000), params)
+    def test_empty_input(self):
+        with pytest.raises(ValueError, match="^no samples$"):
+            Waveform(np.zeros(0), 16000)
 
     def test_returns_writable_array(self, params):
         frames = frame_signal(Waveform(np.ones(500), 16000), params)
         frames[0, 80] = 2.0  # the sample frame 1 starts with; frames are separate copies
         assert frames[1, 0] == 1.0
 
-    def test_frames_pad_and_truncate_to_n(self):
-        ramp = np.arange(1.0, 11.0)
-        assert np.array_equal(_frames(ramp, 2, 4, 3), [[1, 2, 3, 4], [4, 5, 6, 7]])
-        assert np.array_equal(_frames(ramp[:5], 2, 4, 3), [[1, 2, 3, 4], [4, 5, 0, 0]])
+    def test_padded_zero_pads_to_n_frames(self):
+        ramp = np.arange(1.0, 6.0)
+        span = _padded(ramp, 4, 3)
+        assert np.array_equal(span, [1, 2, 3, 4, 5, 0, 0])
+        assert np.array_equal(_frame_view(span, 4, 3), [[1, 2, 3, 4], [4, 5, 0, 0]])
 
     def test_matches_hand_padded_framing_on_corpus(self, params, vowel_corpus):
         window = hann_window(params.frame_len)
@@ -385,7 +388,8 @@ class TestGriffinLim:
             once = griffin_lim(las, params, iters=1, momentum=momentum).samples
             want = oracles.griffin_lim_loop(las, params, iters=1, momentum=momentum)
             assert np.array_equal(once, want.samples)
-            frames = _frames(once, las.shape[0], params.frame_len, params.frame_shift)
+            frames = _frame_view(once, params.frame_len, params.frame_shift)
+            assert len(frames) == las.shape[0]
             assert not np.abs(np.fft.rfft(frames, n=params.fft_size, axis=1)).all()
             for iters in (5, 30):
                 got = griffin_lim(las, params, iters=iters, momentum=momentum).samples
@@ -580,6 +584,19 @@ class TestAnalysisParams:
         assert numpy_params == params
         assert all(type(getattr(numpy_params, field)) is int for field in geometry)
         assert np.array_equal(extract_las(sine_1khz, numpy_params), extract_las(sine_1khz, params))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Waveform(np.zeros(0), 16000), "^no samples$"),
+    (lambda: FeatureTrack(f0=np.zeros(0), mcep=np.zeros((0, 41)), frame_shift=80,
+                          sample_rate=16000), "^f0 must be a non-empty 1-D array"),
+    (lambda: RefinerModel(gain=np.ones(0), bias=np.zeros(0)), "^gain and bias must be non-empty"),
+    (lambda: las_rmse_db(np.zeros((0, 257)), np.zeros((0, 257))),
+     re.escape("LAS must be (frames >= 1, bins >= 1), got shape (0, 257)")),
+], ids=["Waveform", "FeatureTrack", "RefinerModel", "LAS"])
+def test_every_value_type_refuses_an_empty_value(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 class TestWaveform:

@@ -52,6 +52,13 @@ class TestWav:
         assert loaded.samples[0] == 32767.0 / 32768.0
         assert loaded.samples[1] == -1.0
 
+    def test_wav_without_samples_names_it(self, tmp_path):
+        # before: an empty Waveform
+        path = tmp_path / "empty.wav"
+        rawfiles.write_empty_wav(path)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no samples$"):
+            read_wav(path)
+
     def test_stereo_rejected(self, tmp_path):
         path = tmp_path / "stereo.wav"
         with wave_module.open(str(path), "wb") as writer:

@@ -174,6 +174,17 @@ class TestF0Rmse:
             f0_rmse_cent(_voiced_track(f0=ref), _voiced_track(f0=test))
 
 
+@pytest.mark.parametrize("metric", [mcd_v_db, f0_rmse_cent])
+@pytest.mark.parametrize("ref_f0, test_f0", [
+    ([150, 0, 150, 0], [0, 150, 0, 150]),
+    ([150, 150, 150, 150], [0, 0, 0, 0]),
+    ([0, 0, 0, 0], [0, 0, 0, 0]),
+], ids=["alternating", "test-unvoiced", "both-unvoiced"])
+def test_no_commonly_voiced_frame_rejected(metric, ref_f0, test_f0):
+    with pytest.raises(ValueError, match="^no commonly voiced frames$"):
+        metric(_track(np.array(ref_f0, dtype=float)), _track(np.array(test_f0, dtype=float)))
+
+
 class TestVuvError:
     def test_identical_flags(self):
         t = _track([100, 0, 100])
