@@ -88,7 +88,8 @@ def _analysis(params, *waves):
 def _cmd_analyze(args):
     wave, _ = _read(args.input, "wav")
     params = dsp.AnalysisParams(sample_rate=wave.sample_rate, frame_shift=args.frame_shift)
-    (las,), (track,) = _analysis(params, wave)
+    with io._about(args.input):
+        (las,), (track,) = _analysis(params, wave)
     io.write_feature_file(args.output, track)
     if args.las:
         io.write_las_file(args.las, las, params.frame_shift, params.sample_rate)
@@ -98,7 +99,8 @@ def _cmd_analyze(args):
 def _cmd_recover(args):
     track, header = _read(args.input, "feat")
     params = _params(header)
-    recovered = alas.recover_alas(track, params)
+    with io._about(args.input):
+        recovered = alas.recover_alas(track, params)
     io.write_las_file(args.output, recovered, params.frame_shift, params.sample_rate)
     return 0
 
@@ -166,7 +168,7 @@ def _cmd_resynth(args):
     las, header = _read(args.input, "las")
     params = _params(header)
     with io._about(args.input):
-        dsp._check_las(las, params.num_bins)
+        dsp._check_magnitudes(las, params.num_bins)
     io.write_wav(args.output, dsp.griffin_lim(las, params, iters=args.iters))
     return 0
 

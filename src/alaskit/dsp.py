@@ -229,18 +229,38 @@ def warp_cepstrum(m: np.ndarray, alpha: float) -> np.ndarray:
     return warped
 
 
-def _check_las(las, bins: int | None = None) -> np.ndarray:
+def _check_las_shape(las, bins: int | None = None) -> np.ndarray:
     """The LAS as float64, if it is 2-D with at least one frame and one bin,
-    ``bins`` bins when given, and finite everywhere; else a ValueError."""
+    and ``bins`` bins when given; else a ValueError. The shape half of the
+    LAS rule: a function whose result is non-finite wherever its LAS is
+    checks this before any work and _check_las only once its result is
+    found non-finite."""
     las = np.asarray(las, dtype=np.float64)
     if las.ndim != 2 or 0 in las.shape or (bins is not None and las.shape[1] != bins):
         raise ValueError(f"LAS must be (frames >= 1, {bins or 'bins >= 1'}), got shape {las.shape}")
+    return las
+
+
+def _check_las(las, bins: int | None = None) -> np.ndarray:
+    """The LAS as float64, if _check_las_shape takes it and it is finite
+    everywhere; else a ValueError."""
+    las = _check_las_shape(las, bins)
     if not np.isfinite(las).all():
         raise ValueError("LAS values must be finite")
     return las
 
 
 _EXP_MAX = 709.78  # exp overflows above ~709.7827
+
+
+def _check_magnitudes(las, bins: int) -> np.ndarray:
+    """The LAS as float64, if _check_las takes it with ``bins`` bins and
+    exp(las) is finite everywhere (no value above _EXP_MAX): the rule of
+    griffin_lim's target; else a ValueError."""
+    las = _check_las(las, bins)
+    if las.max() > _EXP_MAX:
+        raise ValueError(f"LAS values must be at most {_EXP_MAX} (exp(las) must be finite)")
+    return las
 
 
 def _overlap_add(frames: np.ndarray, shift: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -296,9 +316,7 @@ def griffin_lim(las: np.ndarray, params: AnalysisParams, iters: int = 60,
     momentum step run on the calling thread. Each row's arithmetic does not
     depend on its block, so the output does not depend on the CPU count.
     """
-    las = _check_las(las, params.num_bins)
-    if las.max() > _EXP_MAX:
-        raise ValueError(f"LAS values must be at most {_EXP_MAX} (exp(las) must be finite)")
+    las = _check_magnitudes(las, params.num_bins)
     if _integer("iters", iters) < 1:
         raise ValueError("iters must be >= 1")
     if not 0.0 <= momentum <= 1.0:  # false for NaN

@@ -241,17 +241,26 @@ def mcep_analysis(las_frame: np.ndarray, params: AnalysisParams) -> np.ndarray:
     -alpha, and truncated to MCEP_ORDER+1 = 41 coefficients, which needs
     K > MCEP_ORDER bins. Leading axes are batch axes; the spectra must be
     finite.
+
+    The shape and the bin count are checked before any work. Every map
+    entry a bin meets is a product, so a NaN or ±inf bin leaves its
+    frame's coefficients non-finite: the spectra are checked only when the
+    coefficients are, and a non-finite one is refused as "log spectra must
+    be finite".
     """
     las_frame = np.asarray(las_frame, dtype=np.float64)
     k = params.num_bins
     if las_frame.ndim == 0 or las_frame.shape[-1] != k:
         raise ValueError(f"expected length-{k} log spectra, got {las_frame.shape}")
-    if not np.isfinite(las_frame).all():
-        raise ValueError("log spectra must be finite")
     if k <= MCEP_ORDER:
         raise ValueError(f"{MCEP_ORDER + 1} mel-cepstra need at least {MCEP_ORDER + 1} spectral "
                          f"bins, got {k} (fft_size {params.fft_size})")
-    return las_frame @ _cepstral_analysis_map(params)[:, : MCEP_ORDER + 1]
+    # a NaN or ±inf spectrum is refused below; finite spectra whose coefficients overflow warn
+    with np.errstate(invalid="ignore"):
+        mcep = las_frame @ _cepstral_analysis_map(params)[:, : MCEP_ORDER + 1]
+    if not np.isfinite(mcep).all() and not np.isfinite(las_frame).all():
+        raise ValueError("log spectra must be finite")
+    return mcep
 
 
 def extract_features(wave: Waveform, params: AnalysisParams) -> FeatureTrack:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Waveform, _check_las, _integer
+from .dsp import Waveform, _check_las, _check_las_shape, _integer
 from .features import FeatureTrack
 
 # natural-log amplitude -> dB
@@ -90,14 +90,28 @@ def snr_db(ref: Waveform, test: Waveform) -> float:
 
 
 def las_rmse_db(ref: np.ndarray, test: np.ndarray) -> float:
-    """RMSE between two log spectra matrices, measured in dB."""
-    ref = _check_las(ref)
-    ref, test = _truncate_rows(ref, _check_las(test, ref.shape[1]))
-    with np.errstate(over="ignore"):  # the result is checked
+    """RMSE between two log spectra matrices, measured in dB.
+
+    Both shapes are checked before any work. A NaN or ±inf in the rows
+    compared leaves the RMSE non-finite, so their values are checked only
+    when it is; the rows that frame truncation drops are checked first. A
+    non-finite value is refused as "LAS values must be finite"."""
+    ref = _check_las_shape(ref)
+    test = _check_las_shape(test, ref.shape[1])
+    n = min(ref.shape[0], test.shape[0])
+    for las in (ref, test):
+        if las.shape[0] > n:
+            _check_las(las[n:])
+    ref, test = _truncate_rows(ref, test)
+    with np.errstate(over="ignore", invalid="ignore"):  # the result is checked
         diff = np.subtract(ref, test)
         diff *= DB_PER_LOG
         diff *= diff
-        return _finite("las_rmse_db", np.sqrt(np.mean(diff)))
+        rmse = np.sqrt(np.mean(diff))
+    if not np.isfinite(rmse):
+        _check_las(ref)
+        _check_las(test)
+    return _finite("las_rmse_db", rmse)
 
 
 def mcd_v_db(ref: FeatureTrack, test: FeatureTrack) -> float:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import _check_las, _read_only_float64
+from .dsp import _check_las, _check_las_shape, _read_only_float64
 from .io import _payload_rows, _read_container, _write_container
 
 _REFINER_MAGIC = b"ALRF"  # the .alrf container's magic, see save_refiner
@@ -48,6 +48,11 @@ def fit_refiner(pairs) -> RefinerModel:
     gain 1 and the mean residual as bias. Statistics are accumulated pair
     by pair, in two passes: means, then centred moments. Pairs whose sums,
     moments or fitted parameters leave the float64 range are a ValueError.
+
+    Every pair's shape is checked before any work. A NaN or ±inf in a pair
+    leaves the fitted statistics non-finite, so the pairs' values are
+    checked only when they are: a non-finite value is refused as
+    "LAS values must be finite", not as an overflow.
     """
     pairs = list(pairs)
     if not pairs:
@@ -62,7 +67,7 @@ def fit_refiner(pairs) -> RefinerModel:
         if np.ndim(recovered) != 2 or np.shape(recovered)[1:] != bins:
             raise ValueError(f"bin count mismatch: pairs must be 2-D with one bin count, "
                              f"got {np.shape(recovered)} after {np.shape(pairs[0][0])}")
-        checked.append((_check_las(recovered), _check_las(natural)))
+        checked.append((_check_las_shape(recovered), _check_las_shape(natural)))
     count = sum(recovered.shape[0] for recovered, _ in checked)
     with np.errstate(over="ignore", invalid="ignore"):  # the statistics are checked below
         x_sum = y_sum = 0.0
@@ -80,20 +85,28 @@ def fit_refiner(pairs) -> RefinerModel:
         safe_var = np.where(degenerate, 1.0, x_var)
         gain = np.where(degenerate, 1.0, covariance / safe_var)
         bias = y_mean - gain * x_mean
-    # a mean that overflows makes the moments and the bias non-finite too
+    # a mean that overflows, or a non-finite value, makes the moments and the bias non-finite too
     if not all(np.isfinite(v).all() for v in (x_var, covariance, gain, bias)):
+        for pair in checked:
+            for las in pair:
+                _check_las(las)
         raise ValueError("the pairs' statistics overflow the float64 range")
     return RefinerModel(gain=gain, bias=bias)
 
 
 def apply_refiner(model: RefinerModel, alas: np.ndarray) -> np.ndarray:
     """Apply the per-bin correction. A model whose gains or biases take a
-    value past the float64 range is a ValueError."""
-    alas = _check_las(alas, model.num_bins)
+    value past the float64 range is a ValueError.
+
+    The LAS's shape is checked before any work; a NaN or ±inf in it leaves
+    the result non-finite, so its values are checked only when the result
+    is, and a non-finite one is refused as "LAS values must be finite"."""
+    alas = _check_las_shape(alas, model.num_bins)
     with np.errstate(over="ignore", invalid="ignore"):  # the result is checked below
         out = alas * model.gain
         out += model.bias
     if not np.isfinite(out).all():
+        _check_las(alas)
         raise ValueError("the refiner's gains or biases take the LAS past the float64 range")
     return out
 

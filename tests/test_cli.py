@@ -481,6 +481,32 @@ def test_las_of_another_bin_count_names_the_files(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["resynth", "recover", "analyze"])
+def test_refused_values_name_their_file(tmp_path, capsys, command):
+    # before: each message alone, with no file named
+    out = tmp_path / "out"
+    if command == "resynth":
+        source = tmp_path / "a.lask"
+        las = np.zeros((5, 257))
+        las[2, 7] = 710.0
+        write_las_file(source, las, 80, 16000)
+        message = "LAS values must be at most 709.78 (exp(las) must be finite)"
+    elif command == "recover":
+        source = tmp_path / "a.aftk"
+        mcep = np.zeros((5, 41))
+        mcep[:, 0] = 709.0  # exp is finite; an unvoiced frame's convolution is not
+        write_feature_file(source, FeatureTrack(f0=np.zeros(5), mcep=mcep, frame_shift=80,
+                                                sample_rate=16000))
+        message = "mel-cepstra too large: the window convolution of their spectra overflows"
+    else:
+        source = tmp_path / "a.wav"
+        write_wav(source, Waveform(np.zeros(800), 400))
+        message = "F0 analysis needs a sample rate of at least 500 Hz, got 400 Hz"
+    assert cli.main([command, str(source), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"alaskit: error: {source}: {message}\n"
+    assert not out.exists()
+
+
 def test_resynth_iters_refusal_names_no_file(tmp_path, capsys):
     las = tmp_path / "a.lask"
     write_las_file(las, np.zeros((5, 257)), 80, 16000)

@@ -393,10 +393,14 @@ class TestMcepAnalysis:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("frames", [(), (2,)])
     def test_non_finite_spectra_rejected(self, params, bad, frames):
+        # at every bin: the spectra are checked only once the coefficients,
+        # which every bin reaches through the matrix product, are not finite
         las = np.zeros(frames + (params.num_bins,))
-        las[..., 3] = bad
-        with pytest.raises(ValueError, match="log spectra must be finite"):
-            mcep_analysis(las, params)
+        for k in range(params.num_bins):
+            las[..., k] = bad
+            with pytest.raises(ValueError, match="^log spectra must be finite$"):
+                mcep_analysis(las, params)
+            las[..., k] = 0.0
 
     def test_needs_41_bins(self):
         p = AnalysisParams(frame_len=64, frame_shift=16, fft_size=64)
@@ -413,6 +417,21 @@ class TestMcepAnalysis:
             for row, frame in zip(batch, las):
                 np.testing.assert_allclose(row, oracles.mcep_frame(frame, params),
                                            rtol=0, atol=1e-12)
+
+
+    def test_memory_peak(self, params):
+        # at 1600 frames the (frames, 41) coefficients take 0.52 MB and their
+        # finiteness mask 0.07 MB; a (frames, bins) float64 temporary adds
+        # 3.3 MB, and a finiteness mask of the spectra 0.41 MB at its side.
+        las = np.random.default_rng(10).standard_normal((1600, params.num_bins))
+        mcep_analysis(las, params)  # the cached map is built outside the trace
+        tracemalloc.start()
+        try:
+            mcep_analysis(las, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.8e6
 
 
 class TestWarpInvolution:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,20 @@ class TestLasRmse:
     def test_overflow_rejected(self):
         with pytest.raises(ValueError, match="las_rmse_db overflows"):
             las_rmse_db(np.full((2, 3), 1e200), np.full((2, 3), -1e200))
+
+
+    def test_memory_peak(self):
+        # at 1600 frames x 257 bins the squared differences, computed in
+        # place, take 3.3 MB; the mean and the check read them without a
+        # copy. A (frames, bins) float64 temporary adds 3.3 MB.
+        ref, test = np.random.default_rng(36).standard_normal((2, 1600, 257))
+        tracemalloc.start()
+        try:
+            las_rmse_db(ref, test)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.8e6
 
 
 class TestMcdV:

@@ -1,5 +1,6 @@
 """Tests for the per-bin affine refinement stage."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -82,6 +83,21 @@ class TestFitRefiner:
         with pytest.raises(ValueError, match="bin count mismatch"):
             fit_refiner([(a, a), (b, b)])
 
+    def test_memory_peak(self):
+        # at 1600 frames x 257 bins one (frames, bins) array takes 3.3 MB: the
+        # peak is the second pass's centred recovered values and centred
+        # natural values, 6.6 MB; the statistics and their checks are (bins,)
+        # arrays. One more (frames, bins) temporary adds 3.3 MB.
+        rng = np.random.default_rng(28)
+        recovered, natural = rng.standard_normal((2, 1600, 257))
+        tracemalloc.start()
+        try:
+            fit_refiner([(recovered, natural)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.2e6
+
     def test_streamed_fit_matches_stacked_least_squares(self):
         rng = np.random.default_rng(32)
         pairs = [(rng.standard_normal((n, 6)), rng.standard_normal((n, 6))) for n in (7, 30, 1)]
@@ -137,6 +153,20 @@ class TestApplyRefiner:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="float64 range"):
                 apply_refiner(model, np.full((3, 4), 1.5))
+
+
+    def test_memory_peak(self):
+        # at 1600 frames x 257 bins the result takes 3.3 MB and its finiteness
+        # mask 0.4 MB; a (frames, bins) float64 temporary adds 3.3 MB
+        model = RefinerModel(gain=np.full(257, 0.5), bias=np.ones(257))
+        alas = np.random.default_rng(29).standard_normal((1600, 257))
+        tracemalloc.start()
+        try:
+            apply_refiner(model, alas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.2e6
 
 
 class TestRefinerProperties:
