@@ -61,18 +61,6 @@ def _log_filter_map(params: AnalysisParams) -> np.ndarray:
     return np.fft.hfft(cep, n=params.fft_size)[:, : params.num_bins]
 
 
-@lru_cache(maxsize=8)
-def _log_filter_bound(params: AnalysisParams) -> np.ndarray:
-    """Per coefficient, the largest |entry| of its row of _log_filter_map:
-    a log filter value is at most the coefficients' |c| times these, summed."""
-    return np.abs(_log_filter_map(params)).max(axis=1)
-
-
-# A frame whose bound is at most this passes the log filter's range check:
-# the bound and the log filter each round within about 1e-13 relative.
-_BOUND_MAX = 709.0
-
-
 def filter_spectrum(mcep_with_energy: np.ndarray, params: AnalysisParams) -> np.ndarray:
     """Amplitude spectra of the vocal-tract filter from warped cepstra.
 
@@ -81,26 +69,25 @@ def filter_spectrum(mcep_with_energy: np.ndarray, params: AnalysisParams) -> np.
     transformed; exponentiation yields strictly positive length-K spectra.
     Non-finite coefficients, and coefficients whose log spectrum exceeds
     709.78 anywhere, where the exponential overflows, are a ValueError.
-
-    The shape is checked before any work. The log spectrum itself is
-    scanned only where the coefficients could reach 709.78: every frame
-    whose |coefficients| times _log_filter_bound sum to at most 709 (a
-    NaN or ±inf sums to neither) stays below it.
     """
     coeffs = np.asarray(mcep_with_energy, dtype=np.float64)
     k = params.num_bins
     if coeffs.ndim == 0 or coeffs.shape[-1] > k:
         raise ValueError(f"coefficient vectors must have at most {k} entries")
-    width = coeffs.shape[-1]
+    if not np.isfinite(coeffs).all():
+        raise ValueError("mel-cepstra must be finite")
+    return _exp_log_filter(coeffs, params)
+
+
+def _exp_log_filter(coeffs: np.ndarray, params: AnalysisParams) -> np.ndarray:
+    """filter_spectrum of finite float64 ``coeffs`` of at most K entries:
+    their log filter spectrum, checked once to be at most _EXP_MAX (a NaN
+    from an overflow is not), then exponentiated in place."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        log_filter = coeffs @ _log_filter_map(params)[:width]
-        bound = np.abs(coeffs) @ _log_filter_bound(params)[:width]
-    if not (bound <= _BOUND_MAX).all():  # also false for NaN
-        if not np.isfinite(coeffs).all():
-            raise ValueError("mel-cepstra must be finite")
-        if not (log_filter <= _EXP_MAX).all():
-            raise ValueError(f"mel-cepstra too large: their log filter spectrum exceeds "
-                             f"{_EXP_MAX}, where exp overflows")
+        log_filter = coeffs @ _log_filter_map(params)[: coeffs.shape[-1]]
+    if not np.max(log_filter, initial=-np.inf) <= _EXP_MAX:
+        raise ValueError(f"mel-cepstra too large: their log filter spectrum exceeds "
+                         f"{_EXP_MAX}, where exp overflows")
     return np.exp(log_filter, out=log_filter)
 
 
@@ -126,14 +113,15 @@ def recover_alas(track: FeatureTrack, params: AnalysisParams) -> np.ndarray:
     logged. Mel-cepstra whose spectra overflow, in the exponential or in
     the convolution, are a ValueError.
 
-    The geometry is checked before any work, and no (frames, bins) input
-    is scanned: filter_spectrum bounds its log filter from the (frames, 41)
-    mel-cepstra, and a convolution overflow is found from its result.
+    The geometry is checked before any work, and no input is scanned for
+    its values but the f0: the track's mel-cepstra were checked finite when
+    it was built and cannot change, so only their log filter's range is
+    checked, once, and a convolution overflow is found from its result.
     """
     if (track.frame_shift, track.sample_rate) != (params.frame_shift, params.sample_rate):
         raise ValueError(f"track geometry {track.frame_shift}/{track.sample_rate} (frame shift/"
                          f"sample rate) differs from params {params.frame_shift}/{params.sample_rate}")
-    source_filter = filter_spectrum(track.mcep, params)
+    source_filter = _exp_log_filter(track.mcep, params)
     source_filter *= excitation_spectrum(track.f0, params)
     with np.errstate(over="ignore", invalid="ignore"):
         convolved = source_filter @ _window_convolution_map(params)

@@ -23,11 +23,11 @@ def _integer(name: str, value) -> int:
 
 
 def _read_only_float64(value) -> np.ndarray:
-    """``value`` as a float64 array, through a read-only view: no copy is made
-    of a float64 array, and the caller's own array stays writeable."""
-    view = np.asarray(value, dtype=np.float64).view()
-    view.flags.writeable = False
-    return view
+    """``value`` as a new, read-only float64 array: what is checked in it
+    cannot change afterwards, through it or through the caller's array."""
+    owned = np.array(value, dtype=np.float64)
+    owned.flags.writeable = False
+    return owned
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,10 @@ class Waveform:
     """Mono PCM samples (float, nominally in [-1, 1]) with a sample rate.
 
     ``samples`` must be 1-D, non-empty and finite, so every analysis has at
-    least one frame. It is stored as a read-only float64 view of what was
-    given, so it shares memory with a float64 array passed in (which stays
-    writeable to its owner) and a checked waveform cannot be changed through
-    it; ``sample_rate`` is a positive integer, stored as ``int``.
+    least one frame. It is stored as a read-only float64 copy of what was
+    given, so a checked waveform cannot change afterwards, and its peak
+    |sample| is kept for the analyses that bound it; ``sample_rate`` is a
+    positive integer, stored as ``int``.
     """
 
     samples: np.ndarray
@@ -96,8 +96,12 @@ class Waveform:
             raise ValueError("samples must be one-dimensional")
         if self.samples.size == 0:
             raise ValueError("no samples")
-        if not np.all(np.isfinite(self.samples)):
+        # max and min both give NaN on a NaN, so the peak is NaN or inf
+        # exactly when a sample is not finite
+        peak = max(float(self.samples.max()), -float(self.samples.min()))
+        if not peak < math.inf:
             raise ValueError("samples must be finite")
+        object.__setattr__(self, "_peak", peak)
 
     def __len__(self):
         return self.samples.size
@@ -141,12 +145,11 @@ def _check_sample_rate(wave: Waveform, params: AnalysisParams) -> None:
 
 
 def _check_peak(wave: Waveform, limit: float, analysis: str, overflow: str) -> None:
-    """Refuse a ``wave`` holding a |sample| above ``limit``: the
+    """Refuse a ``wave`` whose peak |sample| is above ``limit``: the
     ValueError names the ``analysis`` and says what would ``overflow``."""
-    peak = max(float(wave.samples.max()), -float(wave.samples.min()))
-    if peak > limit:
+    if wave._peak > limit:
         raise ValueError(f"{analysis} analysis needs samples of magnitude at most {limit:.3g} "
-                         f"({overflow}), got {peak:.3g}")
+                         f"({overflow}), got {wave._peak:.3g}")
 
 
 def frame_signal(wave: Waveform, params: AnalysisParams) -> np.ndarray:

@@ -39,9 +39,8 @@ class FeatureTrack:
     a frame is voiced exactly where f0 > 0 (see :attr:`vuv`). ``mcep`` has
     shape (N, 41): the energy coefficient in column 0, then 40 warped
     cepstral coefficients, all finite. Both are stored as read-only float64
-    views of what was given, so they share memory with a float64 array
-    passed in (which stays writeable to its owner); ``frame_shift`` and
-    ``sample_rate`` are integers, stored as ``int``.
+    copies of what was given, so a checked track cannot change afterwards;
+    ``frame_shift`` and ``sample_rate`` are integers, stored as ``int``.
     """
 
     f0: np.ndarray

@@ -16,7 +16,7 @@ import wave as wave_module
 
 import numpy as np
 
-from .dsp import Waveform, _check_las
+from .dsp import Waveform, _check_las, _check_las_shape
 from .features import MCEP_ORDER, FeatureTrack
 
 FEATURE_MAGIC = b"AFTK"
@@ -90,9 +90,7 @@ def _about(*paths):
 
 
 def write_las_file(path, las: np.ndarray, frame_shift: int, sample_rate: int) -> None:
-    las = np.asarray(las, dtype=np.float64)
-    if las.ndim != 2 or las.size == 0:
-        raise ValueError("LAS matrix must be a non-empty 2-D array")
+    las = _check_las_shape(las)
     _check_las_geometry(path, frame_shift, sample_rate)
     _write_container(path, LAS_MAGIC, dict(frames=las.shape[0], bins=las.shape[1],
                      frame_shift=frame_shift, sample_rate=sample_rate), _float32_rows(las))

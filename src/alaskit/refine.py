@@ -18,9 +18,8 @@ _REFINER_MAGIC = b"ALRF"  # the .alrf container's magic, see save_refiner
 class RefinerModel:
     """Per-bin gain/bias in log units.
 
-    ``gain`` and ``bias`` are stored as read-only float64 views of what was
-    given, so they share memory with a float64 array passed in (which stays
-    writeable to its owner).
+    ``gain`` and ``bias`` are stored as read-only float64 copies of what was
+    given, so a checked model cannot change afterwards.
     """
 
     gain: np.ndarray

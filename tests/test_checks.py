@@ -1,10 +1,11 @@
 """Non-finite inputs to the functions that find them from their results.
 
-apply_refiner, las_rmse_db, fit_refiner, mcep_analysis and recover_alas
-check their inputs' shapes before any work and their inputs' values only
-once the result is non-finite. These tests pin that every single NaN or
-±inf is still refused with the message the input check gives, and that
-the success path scans no full-size input.
+apply_refiner, las_rmse_db, fit_refiner and mcep_analysis check their
+inputs' shapes before any work and their inputs' values only once the
+result is non-finite; recover_alas reads a track whose arrays were checked
+when it was built. These tests pin that every single NaN or ±inf is still
+refused with the message the input check gives, and that the success path
+scans no full-size input.
 """
 
 import math
@@ -79,19 +80,21 @@ class TestEverySingleNonFiniteValue:
 
     @pytest.mark.parametrize("side", ["f0", "mcep"])
     def test_recover_alas(self, params, spot, bad, side):
-        # a track's arrays are read-only views of the caller's arrays, which
-        # stay writeable to their owner
+        # a track owns a checked copy of its arrays, so a value written into
+        # the caller's arrays afterwards does not reach recover_alas; the
+        # layer that takes those raw arrays refuses it with the same message
         f0 = np.where(np.arange(FRAMES) % 2, 150.0, 0.0)
         mcep = 0.1 * np.random.default_rng(5).standard_normal((FRAMES, 41))
         track = FeatureTrack(f0=f0, mcep=mcep, frame_shift=80, sample_rate=16000)
+        want = recover_alas(track, params)
         frame, column = SPOTS[spot]
         if side == "f0":
             f0[frame] = bad
-            message = "^f0 must be finite and nonnegative$"
+            _refused("^f0 must be finite and nonnegative$", alas.excitation_spectrum, f0, params)
         else:
             mcep[frame, column * 40 // (BINS - 1)] = bad
-            message = "^mel-cepstra must be finite$"
-        _refused(message, recover_alas, track, params)
+            _refused("^mel-cepstra must be finite$", alas.filter_spectrum, mcep, params)
+        assert np.array_equal(recover_alas(track, params), want)
 
 
 @pytest.mark.parametrize("longer", ["ref", "test"])
@@ -135,8 +138,8 @@ def test_recover_alas_refuses_a_log_filter_just_past_the_limit_off_the_comb(para
 
 
 class _Scans:
-    """The arrays that np.isfinite and the comparisons with alas's limits
-    read, as (size, is one of the inputs) pairs."""
+    """The arrays and scalars that np.isfinite and the comparisons with
+    alas._EXP_MAX read, as (size, is one of the inputs) pairs."""
 
     def __init__(self, monkeypatch, inputs):
         self.inputs, self.seen = inputs, []
@@ -154,13 +157,12 @@ class _Scans:
             def __array_ufunc__(self, ufunc, method, *operands, **kwargs):
                 operands = [float(x) if x is self else x for x in operands]
                 for x in operands:
-                    if isinstance(x, np.ndarray):
+                    if isinstance(x, (np.ndarray, np.generic)):
                         scans._saw(x)
                 return getattr(ufunc, method)(*operands, **kwargs)
 
         monkeypatch.setattr(np, "isfinite", counted_isfinite)
-        for name in ("_EXP_MAX", "_BOUND_MAX"):
-            monkeypatch.setattr(alas, name, Limit(getattr(alas, name)))
+        monkeypatch.setattr(alas, "_EXP_MAX", Limit(alas._EXP_MAX))
 
     def _saw(self, x):
         x = np.asarray(x)
@@ -204,7 +206,7 @@ def test_success_paths_scan_no_full_size_input(params, monkeypatch):
 
     scans = _Scans(monkeypatch, [track.f0, track.mcep])
     recover_alas(track, params)
-    # the log filter bound per frame, and the convolved spectra; excitation_spectrum's f0
+    # the log filter's maximum, and the convolved spectra; excitation_spectrum's f0
     # check is the one input scan, of N values
-    assert sorted(size for size, _ in scans.seen) == [N, N, N * BINS]
+    assert sorted(size for size, _ in scans.seen) == [1, N, N * BINS]
     assert [size for size, is_input in scans.seen if is_input] == [N]

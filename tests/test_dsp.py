@@ -618,7 +618,27 @@ class TestWaveform:
             wave.samples[5] = np.nan
         assert np.isfinite(extract_las(wave, params)).all()
         assert not estimate_f0(wave, params)[0].any()
-        assert np.shares_memory(wave.samples, given)
+        # the view is of the waveform's own copy, not of the caller's array
+        assert wave.samples.flags.owndata and not np.shares_memory(wave.samples, given)
         given[5] = 0.25  # the caller's own array stays writeable
-        assert wave.samples[5] == 0.25
+        assert wave.samples[5] == 0.0
         assert Waveform([0, 1, -1], 8000).samples.dtype == np.float64
+
+    def test_a_write_to_the_given_array_leaves_the_waveform_finite(self, params):
+        # before: the waveform shared the caller's array, and a NaN written
+        # into it after the check gave 4 frames x 257 non-finite LAS values
+        given = 0.5 * np.sin(2 * np.pi * 200.0 * np.arange(16000) / 16000)
+        wave = Waveform(given, params.sample_rate)
+        want = extract_las(wave, params)
+        given[5000] = np.nan
+        assert np.array_equal(extract_las(wave, params), want)
+        assert np.isfinite(estimate_f0(wave, params)[0]).all()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", [0, 800, -1])
+    def test_non_finite_samples_rejected(self, bad, index):
+        # one max/min pair gives both the finiteness verdict and the peak
+        samples = 0.5 * np.sin(np.arange(1600))
+        samples[index] = bad
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            Waveform(samples, 16000)

@@ -533,9 +533,22 @@ class TestFeatureTrack:
             getattr(track, name)[index] = -5.0
         write_feature_file(tmp_path / "t.aftk", track)
         assert np.array_equal(getattr(read_feature_file(tmp_path / "t.aftk"), name), given[name])
-        assert np.shares_memory(getattr(track, name), given[name])
+        # the view is of the track's own copy, not of the caller's array
+        assert getattr(track, name).flags.owndata
+        assert not np.shares_memory(getattr(track, name), given[name])
         given[name][index] = 7.0  # the caller's own array stays writeable
-        assert getattr(track, name)[index] == 7.0
+        assert getattr(track, name)[index] == {"f0": 120.0, "mcep": 0.0}[name]
+
+    def test_a_write_to_the_given_arrays_leaves_the_track_finite(self, params):
+        # before: the track shared the caller's arrays, and a NaN written into
+        # them after the check reached recover_alas's output
+        f0 = np.where(np.arange(6) % 2, 150.0, 0.0)
+        mcep = 0.1 * np.random.default_rng(3).standard_normal((6, 41))
+        track = self._track(f0=f0, mcep=mcep)
+        want = recover_alas(track, params)
+        f0[1] = mcep[2, 7] = np.nan
+        assert np.array_equal(recover_alas(track, params), want)
+        assert np.isfinite(want).all()
 
     def test_lists_are_coerced_to_float64(self):
         track = self._track(f0=[0, 120, 0], mcep=[[0] * 41] * 3)

@@ -311,6 +311,15 @@ class TestLasFile:
         with pytest.raises(ValueError, match="inconsistent"):
             read_las_file(path)
 
+    @pytest.mark.parametrize("shape", [(257,), (2, 4, 257), (0, 257), (4, 0)],
+                             ids=["1-D", "3-D", "zero-frames", "zero-bins"])
+    def test_writer_rejects_a_bad_shape_by_the_las_rule(self, tmp_path, shape):
+        path = tmp_path / "shape.lask"
+        with pytest.raises(ValueError, match=re.escape(
+                f"LAS must be (frames >= 1, bins >= 1), got shape {shape}")):
+            write_las_file(path, np.zeros(shape), 80, 16000)
+        assert not path.exists()
+
     @pytest.mark.parametrize("frame_shift, sample_rate", [(0, 16000), (80, 0), (0, 0)])
     def test_writer_rejects_zero_geometry(self, tmp_path, frame_shift, sample_rate):
         path = tmp_path / "zero.lask"

@@ -66,9 +66,22 @@ class TestFitRefiner:
         model = RefinerModel(**given)
         with pytest.raises(ValueError, match="read-only"):
             getattr(model, name)[3] = -1.0
-        assert np.shares_memory(getattr(model, name), given[name])
+        # the view is of the model's own copy, not of the caller's array
+        assert getattr(model, name).flags.owndata
+        assert not np.shares_memory(getattr(model, name), given[name])
         given[name][3] = 5.0  # the caller's own array stays writeable
-        assert getattr(model, name)[3] == 5.0
+        assert getattr(model, name)[3] == {"gain": 1.0, "bias": 0.0}[name]
+
+    def test_a_write_to_the_given_arrays_leaves_the_model_savable(self, tmp_path):
+        # before: the model shared the caller's arrays, and a NaN written into
+        # them after the check gave an .alrf that load_refiner refuses
+        gain, bias = np.linspace(0.5, 1.5, 8), np.linspace(-1.0, 1.0, 8)
+        model = RefinerModel(gain=gain, bias=bias)
+        gain[3] = bias[5] = np.nan
+        save_refiner(model, tmp_path / "m.alrf")
+        loaded = load_refiner(tmp_path / "m.alrf")
+        np.testing.assert_array_equal(loaded.gain, np.linspace(0.5, 1.5, 8))
+        np.testing.assert_array_equal(loaded.bias, np.linspace(-1.0, 1.0, 8))
 
     def test_model_needs_at_least_one_bin(self):
         with pytest.raises(ValueError, match="non-empty 1-D arrays"):
