@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dsp import _EXP_MAX, AnalysisParams, _warp_matrix, hann_window
+from .dsp import _EXP_MAX, AnalysisParams, _agree, _warp_matrix, hann_window
 from .features import FeatureTrack
 
 
@@ -118,9 +118,8 @@ def recover_alas(track: FeatureTrack, params: AnalysisParams) -> np.ndarray:
     it was built and cannot change, so only their log filter's range is
     checked, once, and a convolution overflow is found from its result.
     """
-    if (track.frame_shift, track.sample_rate) != (params.frame_shift, params.sample_rate):
-        raise ValueError(f"track geometry {track.frame_shift}/{track.sample_rate} (frame shift/"
-                         f"sample rate) differs from params {params.frame_shift}/{params.sample_rate}")
+    for field in ("frame_shift", "sample_rate"):
+        _agree(field, getattr(track, field), "track", getattr(params, field), "params")
     source_filter = _exp_log_filter(track.mcep, params)
     source_filter *= excitation_spectrum(track.f0, params)
     with np.errstate(over="ignore", invalid="ignore"):

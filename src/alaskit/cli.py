@@ -9,7 +9,9 @@ parameter is the AnalysisParams default.
 
 import argparse
 import dataclasses
+import functools
 import sys
+import warnings
 
 from . import alas, dsp, features, io, metrics, refine
 
@@ -61,9 +63,7 @@ def _agreed(*headers) -> dict:
             if value is None:
                 continue
             first_path, first = agreed.setdefault(field, (path, value))
-            if value != first:
-                raise ValueError(f"{field.replace('_', ' ')} mismatch: {first} from {first_path}, "
-                                 f"{value} from {path}")
+            dsp._agree(field, first, first_path, value, path)
     return agreed
 
 
@@ -87,7 +87,8 @@ def _analysis(params, *waves):
 
 def _cmd_analyze(args):
     wave, _ = _read(args.input, "wav")
-    params = dsp.AnalysisParams(sample_rate=wave.sample_rate, frame_shift=args.frame_shift)
+    with io._about("--frame-shift"):  # Waveform took the rate; only the flag can be refused
+        params = dsp.AnalysisParams(sample_rate=wave.sample_rate, frame_shift=args.frame_shift)
     with io._about(args.input):
         (las,), (track,) = _analysis(params, wave)
     io.write_feature_file(args.output, track)
@@ -165,6 +166,7 @@ def _cmd_evaluate(args):
 
 
 def _cmd_resynth(args):
+    dsp._at_least("--iters", args.iters, 1)
     las, header = _read(args.input, "las")
     params = _params(header)
     with io._about(args.input):
@@ -219,11 +221,28 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"alaskit: error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # the library's UserWarnings print as one line each, once per message, also under
+        # -W error; every other category keeps the interpreter's filters
+        warnings.simplefilter("always", UserWarning)
+        warnings.showwarning = functools.partial(_show_warning, set(), warnings.showwarning)
+        try:
+            return args.func(args)
+        except (ValueError, OSError) as exc:
+            print(f"alaskit: error: {exc}", file=sys.stderr)
+            return 2
+
+
+def _show_warning(shown, show, message, category, *where, **options):
+    """warnings.showwarning while main runs: the first UserWarning of each
+    message prints as one ``alaskit: warning:`` line, and ``shown`` keeps
+    the message so that a repeat prints nothing; any other category goes on
+    to ``show``, the hook it replaces."""
+    if not issubclass(category, UserWarning):
+        show(message, category, *where, **options)
+    elif str(message) not in shown:
+        shown.add(str(message))
+        print(f"alaskit: warning: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

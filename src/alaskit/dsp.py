@@ -13,13 +13,24 @@ from functools import lru_cache
 import numpy as np
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int if it is an int or a numpy integer, else a
-    ValueError naming ``name``: a float, even 320.0, is not taken as a
-    count or a rate."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _at_least(name: str, value, minimum: int) -> int:
+    """``value`` as an int if it is an int or a numpy integer of at least
+    ``minimum``, else a ValueError stating ``name``, the rule and the value:
+    the one rule of every count and rate. A float, even 320.0, is not taken
+    as a count or a rate."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _agree(field: str, first, first_from: str, value, value_from: str) -> None:
+    """A ValueError stating both values and their sources unless ``value``
+    (from ``value_from``) equals ``first`` (from ``first_from``): the one
+    rule of two sources of one geometry ``field``, such as an AnalysisParams
+    field, whose underscores print as spaces."""
+    if value != first:
+        raise ValueError(f"{field.replace('_', ' ')} mismatch: {first} from {first_from}, "
+                         f"{value} from {value_from}")
 
 
 def _read_only_float64(value) -> np.ndarray:
@@ -46,20 +57,14 @@ class AnalysisParams:
     log_floor: float = 1e-10
 
     def __post_init__(self):
-        for name in ("sample_rate", "frame_len", "frame_shift", "fft_size"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        if self.frame_len < 2:
-            raise ValueError(f"frame_len must be >= 2, got {self.frame_len}")
+        for name, minimum in (("sample_rate", 1), ("frame_len", 2), ("frame_shift", 1)):
+            object.__setattr__(self, name, _at_least(name, getattr(self, name), minimum))
+        object.__setattr__(self, "fft_size", _at_least("fft_size", self.fft_size, self.frame_len))
         if self.frame_len % 2 != 0:
             raise ValueError(f"frame_len must be even (zero-phase window centering), "
                              f"got {self.frame_len}")
-        if self.frame_shift < 1 or self.frame_shift > self.frame_len:
+        if self.frame_shift > self.frame_len:
             raise ValueError(f"frame_shift must be in [1, frame_len], got {self.frame_shift} "
-                             f"with frame_len {self.frame_len}")
-        if self.fft_size < self.frame_len:
-            raise ValueError(f"fft_size must be >= frame_len, got {self.fft_size} "
                              f"with frame_len {self.frame_len}")
         if self.fft_size & (self.fft_size - 1) != 0:
             raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
@@ -89,9 +94,7 @@ class Waveform:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _read_only_float64(self.samples))
-        object.__setattr__(self, "sample_rate", _integer("sample_rate", self.sample_rate))
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        object.__setattr__(self, "sample_rate", _at_least("sample_rate", self.sample_rate, 1))
         if self.samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
         if self.samples.size == 0:
@@ -109,9 +112,7 @@ class Waveform:
 
 def hann_window(length: int) -> np.ndarray:
     """Periodic Hann window: w[j] = 0.5 - 0.5*cos(2*pi*j/length)."""
-    length = _integer("window length", length)
-    if length < 2:
-        raise ValueError("window length must be >= 2")
+    length = _at_least("window length", length, 2)
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
 
 
@@ -137,11 +138,6 @@ def _padded(samples: np.ndarray, length: int, shift: int) -> np.ndarray:
     span = np.zeros((num_frames(samples.size, shift) - 1) * shift + length)
     span[: samples.size] = samples
     return span
-
-
-def _check_sample_rate(wave: Waveform, params: AnalysisParams) -> None:
-    if wave.sample_rate != params.sample_rate:
-        raise ValueError(f"waveform at {wave.sample_rate} Hz, params at {params.sample_rate} Hz")
 
 
 def _check_peak(wave: Waveform, limit: float, analysis: str, overflow: str) -> None:
@@ -171,7 +167,7 @@ def extract_las(wave: Waveform, params: AnalysisParams) -> np.ndarray:
     frame_len (about 5.6e305 at the default geometry), so that every
     magnitude stays finite; a larger one is a ValueError.
     """
-    _check_sample_rate(wave, params)
+    _agree("sample_rate", wave.sample_rate, "wave", params.sample_rate, "params")
     length, shift = params.frame_len, params.frame_shift
     frames = _frame_view(_padded(wave.samples, length, shift), length, shift)
     # |X[k]| is at most the peak times the window's sum, frame_len / 2, so
@@ -320,8 +316,7 @@ def griffin_lim(las: np.ndarray, params: AnalysisParams, iters: int = 60,
     depend on its block, so the output does not depend on the CPU count.
     """
     las = _check_magnitudes(las, params.num_bins)
-    if _integer("iters", iters) < 1:
-        raise ValueError("iters must be >= 1")
+    iters = _at_least("iters", iters, 1)
     if not 0.0 <= momentum <= 1.0:  # false for NaN
         raise ValueError(f"momentum must be in [0, 1], got {momentum}")
     magnitudes = np.exp(las)

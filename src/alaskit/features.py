@@ -13,10 +13,10 @@ import numpy as np
 from .dsp import (
     AnalysisParams,
     Waveform,
+    _agree,
+    _at_least,
     _check_peak,
-    _check_sample_rate,
     _frame_view,
-    _integer,
     _padded,
     _read_only_float64,
     extract_las,
@@ -52,11 +52,7 @@ class FeatureTrack:
         for name in ("f0", "mcep"):
             object.__setattr__(self, name, _read_only_float64(getattr(self, name)))
         for name in ("frame_shift", "sample_rate"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.frame_shift < 1:
-            raise ValueError("frame_shift must be >= 1")
-        if self.sample_rate < 1:
-            raise ValueError("sample_rate must be positive")
+            object.__setattr__(self, name, _at_least(name, getattr(self, name), 1))
         n, width = self.f0.size, MCEP_ORDER + 1
         if self.f0.ndim != 1 or n == 0:
             raise ValueError("f0 must be a non-empty 1-D array")
@@ -104,7 +100,7 @@ def estimate_f0(wave: Waveform, params: AnalysisParams) -> tuple[np.ndarray, np.
     on other float samples the sums round in another order, and F0 agrees
     with it within 1e-12 relative.
     """
-    _check_sample_rate(wave, params)
+    _agree("sample_rate", wave.sample_rate, "wave", params.sample_rate, "params")
     fs, shift, length = params.sample_rate, params.frame_shift, params.frame_len
     if fs < F0_MAX:
         raise ValueError(f"F0 analysis needs a sample rate of at least {F0_MAX:g} Hz, got {fs} Hz")

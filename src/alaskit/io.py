@@ -16,7 +16,7 @@ import wave as wave_module
 
 import numpy as np
 
-from .dsp import Waveform, _check_las, _check_las_shape
+from .dsp import Waveform, _at_least, _check_las, _check_las_shape
 from .features import MCEP_ORDER, FeatureTrack
 
 FEATURE_MAGIC = b"AFTK"
@@ -105,11 +105,10 @@ def read_las_file(path) -> tuple[np.ndarray, int, int]:
 
 def _check_las_geometry(path, frame_shift, sample_rate) -> None:
     """The rule a feature track keeps, for a LAS header: frame shift and
-    sample rate are at least 1. Only 0 is tested here, since the codec
-    refuses every value that is not a u32."""
-    if frame_shift == 0 or sample_rate == 0:
-        raise ValueError(f"{path}: LAS frame shift and sample rate must be >= 1, "
-                         f"got {frame_shift} and {sample_rate}")
+    sample rate are integers of at least 1; a refusal names ``path``."""
+    with _about(path):
+        _at_least("frame_shift", frame_shift, 1)
+        _at_least("sample_rate", sample_rate, 1)
 
 
 def _float32_rows(values: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Waveform, _check_las, _check_las_shape, _integer
+from .dsp import Waveform, _agree, _at_least, _check_las, _check_las_shape
 from .features import FeatureTrack
 
 # natural-log amplitude -> dB
@@ -31,10 +31,8 @@ class EvalReport:
     vuv_error_pct: float | None = None
 
     def __post_init__(self):
-        frames = _integer("frames_compared", self.frames_compared)
+        frames = _at_least("frames_compared", self.frames_compared, 1)
         object.__setattr__(self, "frames_compared", frames)
-        if self.frames_compared <= 0:
-            raise ValueError("frames_compared must be positive")
         if self.snr_db is not None and not -math.inf < self.snr_db <= math.inf:  # false for NaN
             raise ValueError("snr_db must be finite or math.inf")
         for name in ("las_rmse_db", "mcd_v_db", "f0_rmse_cent", "vuv_error_pct"):
@@ -69,8 +67,7 @@ def snr_db(ref: Waveform, test: Waveform) -> float:
     Signals are truncated to the shorter length; identical signals report
     math.inf. Energies past the float64 range are a ValueError.
     """
-    if ref.sample_rate != test.sample_rate:
-        raise ValueError("sample rate mismatch")
+    _agree("sample_rate", ref.sample_rate, "ref", test.sample_rate, "test")
     n = min(len(ref), len(test))
     r = ref.samples[:n]
     t = test.samples[:n]
@@ -160,11 +157,9 @@ def _truncate_rows(a, b, stacklevel=3):
 
 def _track_vuv(ref: FeatureTrack, test: FeatureTrack, stacklevel=4):
     """Both tracks' voicing flags over their common length; tracks of
-    different (frame_shift, sample_rate) are a ValueError naming both."""
-    geometries = [(track.frame_shift, track.sample_rate) for track in (ref, test)]
-    if geometries[0] != geometries[1]:
-        raise ValueError("feature tracks differ in (frame_shift, sample_rate): "
-                         f"{geometries[0]} vs {geometries[1]}")
+    different frame_shift or sample_rate are a ValueError stating both."""
+    for field in ("frame_shift", "sample_rate"):
+        _agree(field, getattr(ref, field), "ref", getattr(test, field), "test")
     return _truncate_rows(ref.vuv, test.vuv, stacklevel=stacklevel)
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import _check_las, _check_las_shape, _read_only_float64
+from .dsp import _agree, _check_las, _check_las_shape, _read_only_float64
 from .io import _payload_rows, _read_container, _write_container
 
 _REFINER_MAGIC = b"ALRF"  # the .alrf container's magic, see save_refiner
@@ -59,10 +59,7 @@ def fit_refiner(pairs) -> RefinerModel:
     bins = np.shape(pairs[0][0])[1:]
     checked = []
     for recovered, natural in pairs:
-        if np.shape(recovered) != np.shape(natural):
-            raise ValueError(
-                f"pair shape mismatch: {np.shape(recovered)} vs {np.shape(natural)}"
-            )
+        _agree("shape", np.shape(recovered), "recovered", np.shape(natural), "natural")
         if np.ndim(recovered) != 2 or np.shape(recovered)[1:] != bins:
             raise ValueError(f"bin count mismatch: pairs must be 2-D with one bin count, "
                              f"got {np.shape(recovered)} after {np.shape(pairs[0][0])}")

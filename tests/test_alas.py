@@ -448,7 +448,8 @@ class TestRecoverAlas:
     def test_rejects_mismatched_geometry(self, params):
         track = FeatureTrack(f0=np.array([0.0]), mcep=np.zeros((1, 41)),
                              frame_shift=40, sample_rate=8000)
-        with pytest.raises(ValueError, match="geometry"):
+        with pytest.raises(ValueError,
+                           match="^frame shift mismatch: 40 from track, 80 from params$"):
             recover_alas(track, params)
 
     def test_huge_mcep_rejected_without_warning(self, params):

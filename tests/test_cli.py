@@ -511,7 +511,7 @@ def test_resynth_iters_refusal_names_no_file(tmp_path, capsys):
     las = tmp_path / "a.lask"
     write_las_file(las, np.zeros((5, 257)), 80, 16000)
     assert cli.main(["resynth", str(las), "-o", str(tmp_path / "o.wav"), "--iters", "0"]) == 2
-    assert capsys.readouterr().err == "alaskit: error: iters must be >= 1\n"
+    assert capsys.readouterr().err == "alaskit: error: --iters must be an integer >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("kind", ["wav-noise", "wav-silence", "feat"])
@@ -550,6 +550,62 @@ def test_resynth_to_unwritable_path_prints_one_error_line(tmp_path):
     assert done.stderr.startswith("alaskit: error: ")
     assert str(out) in done.stderr and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+
+
+def _tracks_of(tmp_path, *frame_counts):
+    """A voiced .aftk of each frame count, at the default geometry."""
+    paths = []
+    for n in frame_counts:
+        paths.append(tmp_path / f"t{n}.aftk")
+        write_feature_file(paths[-1], FeatureTrack(f0=np.full(n, 120.0), mcep=np.zeros((n, 41)),
+                                                   frame_shift=80, sample_rate=16000))
+    return paths
+
+
+def test_evaluate_prints_a_library_warning_as_one_line(tmp_path, capsys):
+    # before: Python's two-line "cli.py:157: UserWarning: ..." and a source line,
+    # and a traceback under -W error
+    ref, test = _tracks_of(tmp_path, 200, 100)
+    argv = ["evaluate", "--ref", str(ref), "--test", str(test)]
+    expected = "alaskit: warning: frame count mismatch (200 vs 100); comparing first 100\n"
+    assert cli.main(argv) == 0  # the suite turns every warning into an error
+    assert capsys.readouterr().err == expected
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "alaskit.cli", *argv],
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, expected)
+
+
+def test_other_warning_categories_keep_the_filters(tmp_path, capsys, monkeypatch):
+    ref, test = _tracks_of(tmp_path, 5, 5)
+
+    def warns(*args):
+        warnings.warn("stray", RuntimeWarning)
+        return 0
+
+    monkeypatch.setattr(metrics, "vuv_error_pct", warns)
+    with pytest.raises(RuntimeWarning, match="stray"):
+        cli.main(["evaluate", "--ref", str(ref), "--test", str(test)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["evaluate", "--ref", str(ref), "--test", str(test)]) == 0
+    assert [str(w.message) for w in caught] == ["stray"]
+    assert "alaskit: warning" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "{wav}", "--frame-shift", "0"],
+     "--frame-shift: frame_shift must be an integer >= 1, got 0"),
+    (["analyze", "{wav}", "--frame-shift", "400"],
+     "--frame-shift: frame_shift must be in [1, frame_len], got 400 with frame_len 320"),
+    (["resynth", "{absent}", "--iters", "-2"], "--iters must be an integer >= 1, got -2"),
+], ids=["frame-shift-0", "frame-shift-400", "iters"])
+def test_a_refused_flag_value_names_the_flag(tmp_path, capsys, utterance_wav, argv, message):
+    # before: the message alone; resynth checked --iters after reading its input
+    out = tmp_path / "out"
+    argv = [arg.format(wav=utterance_wav, absent=tmp_path / "absent.lask") for arg in argv]
+    assert cli.main([*argv, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"alaskit: error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -232,7 +232,8 @@ class TestExtractLas:
         np.testing.assert_allclose(shifted[1:], base, atol=1e-6)
 
     def test_sample_rate_mismatch_rejected(self, params):
-        with pytest.raises(ValueError, match="8000 Hz.*16000 Hz"):
+        with pytest.raises(ValueError,
+                           match="^sample rate mismatch: 8000 from wave, 16000 from params$"):
             extract_las(Waveform(np.zeros(800), 8000), params)
 
     @pytest.mark.parametrize("pattern", [1.0, -1.0, (-1.0) ** np.arange(2000)])
@@ -561,7 +562,7 @@ class TestAnalysisParams:
         (dict(frame_len=1), "got 1"),
         (dict(frame_len=321, fft_size=512), "got 321"),
         (dict(frame_shift=400), "got 400 with frame_len 320"),
-        (dict(fft_size=256), "got 256 with frame_len 320"),
+        (dict(fft_size=256), "(?<=>= 320, )got 256"),
         (dict(fft_size=600), "got 600"),
         (dict(warp_alpha=1.0), "got 1.0"),
         (dict(log_floor=math.nan), "got nan"),

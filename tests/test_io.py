@@ -72,7 +72,7 @@ class TestWav:
     @pytest.mark.parametrize("channels, width, rate, message", [
         (2, 2, 16000, "mono required, got 2 channels"),
         (1, 1, 16000, "16-bit PCM required, got 8-bit samples"),
-        (1, 2, 0, "sample_rate must be positive"),
+        (1, 2, 0, "sample_rate must be an integer >= 1, got 0"),
     ])
     def test_format_errors_name_the_file(self, tmp_path, channels, width, rate, message):
         # the wave module refuses to write a zero rate, so the header is packed here
@@ -323,7 +323,9 @@ class TestLasFile:
     @pytest.mark.parametrize("frame_shift, sample_rate", [(0, 16000), (80, 0), (0, 0)])
     def test_writer_rejects_zero_geometry(self, tmp_path, frame_shift, sample_rate):
         path = tmp_path / "zero.lask"
-        with pytest.raises(ValueError, match="frame shift and sample rate must be >= 1"):
+        field = "sample_rate" if frame_shift else "frame_shift"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: {field} must be an integer >= 1, got 0")):
             write_las_file(path, np.zeros((2, 3)), frame_shift, sample_rate)
         assert not path.exists()
 
@@ -332,7 +334,9 @@ class TestLasFile:
                                                           sample_rate):
         path = tmp_path / "zero.lask"
         rawfiles.write_container(path, b"LASK", np.zeros((2, 3)), frame_shift, sample_rate)
-        with pytest.raises(ValueError, match="frame shift and sample rate must be >= 1") as exc:
+        field = "sample_rate" if frame_shift else "frame_shift"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: {field} must be an integer >= 1, got 0")) as exc:
             read_las_file(path)
         assert str(path) in str(exc.value)
 
@@ -380,14 +384,18 @@ class TestContainerCodec:
         path = tmp_path / "out.bin"
         if existing is not None:
             path.write_bytes(existing)
-        with pytest.raises(ValueError, match=f"header fields must be integers.*={value}"):
+        # a negative field is refused by the LAS header rule, before the codec
+        field = "frame_shift" if kind == "lask" else "sample_rate"
+        message = (re.escape(f"{path}: {field} must be an integer >= 1, got {value}") if value < 0
+                   else f"header fields must be integers.*={value}")
+        with pytest.raises(ValueError, match=message):
             self._write(kind, path, value)
         assert (path.read_bytes() if path.exists() else None) == existing
 
     def test_negative_frame_shift_in_feature_file(self, tmp_path):
         # the track itself refuses the shift, so no file is written
         path = tmp_path / "neg.aftk"
-        with pytest.raises(ValueError, match="frame_shift must be >= 1"):
+        with pytest.raises(ValueError, match="^frame_shift must be an integer >= 1, got -1$"):
             write_feature_file(path, dataclasses.replace(_track(), frame_shift=-1))
         assert not path.exists()
 
@@ -415,7 +423,9 @@ class TestContainerCodec:
     def test_zero_geometry_in_feature_file_rejected(self, tmp_path, frame_shift, sample_rate):
         path = tmp_path / "zero.aftk"
         rawfiles.write_container(path, b"AFTK", np.zeros((3, 42)), frame_shift, sample_rate)
-        with pytest.raises(ValueError, match="(frame_shift|sample_rate) must be (>= 1|positive)"):
+        field = "sample_rate" if frame_shift else "frame_shift"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: {field} must be an integer >= 1, got 0")):
             read_feature_file(path)
 
 

@@ -240,11 +240,12 @@ class TestGeometryMismatch:
     def test_tracks_of_different_geometry_rejected(self, metric):
         ref = _voiced_track()
         test = dataclasses.replace(ref, frame_shift=160, sample_rate=8000)
-        with pytest.raises(ValueError, match=r"\(80, 16000\) vs \(160, 8000\)"):
+        with pytest.raises(ValueError, match="^frame shift mismatch: 80 from ref, 160 from test$"):
             metric(ref, test)
-        with pytest.raises(ValueError, match=r"\(160, 8000\) vs \(80, 16000\)"):
+        with pytest.raises(ValueError, match="^frame shift mismatch: 160 from ref, 80 from test$"):
             metric(test, ref)
-        with pytest.raises(ValueError, match=r"\(80, 16000\) vs \(80, 8000\)"):
+        with pytest.raises(ValueError,
+                           match="^sample rate mismatch: 16000 from ref, 8000 from test$"):
             metric(ref, dataclasses.replace(ref, sample_rate=8000))
 
 
