@@ -72,7 +72,8 @@ class TestWav:
     @pytest.mark.parametrize("channels, width, rate, message", [
         (2, 2, 16000, "mono required, got 2 channels"),
         (1, 1, 16000, "16-bit PCM required, got 8-bit samples"),
-        (1, 2, 0, "sample_rate must be an integer >= 1, got 0"),
+        pytest.param(1, 2, 0, "sample_rate must be an integer >= 1, got 0",
+                     id="1-2-0-sample_rate must be positive"),
     ])
     def test_format_errors_name_the_file(self, tmp_path, channels, width, rate, message):
         # the wave module refuses to write a zero rate, so the header is packed here
