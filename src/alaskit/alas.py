@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dsp import _EXP_MAX, AnalysisParams, _agree, _warp_matrix, hann_window
+from .dsp import _EXP_MAX, AnalysisParams, _agree, _finite, _warp_matrix, hann_window
 from .features import FeatureTrack
 
 
@@ -123,10 +123,9 @@ def recover_alas(track: FeatureTrack, params: AnalysisParams) -> np.ndarray:
     source_filter = _exp_log_filter(track.mcep, params)
     source_filter *= excitation_spectrum(track.f0, params)
     with np.errstate(over="ignore", invalid="ignore"):
-        convolved = source_filter @ _window_convolution_map(params)
-    if not np.isfinite(convolved).all():
-        raise ValueError("mel-cepstra too large: the window convolution of their "
-                         "spectra overflows")
+        convolved = _finite(source_filter @ _window_convolution_map(params),
+                            "mel-cepstra too large: the window convolution of their spectra "
+                            "overflows")
     np.abs(convolved, out=convolved)
     np.maximum(convolved, params.log_floor, out=convolved)
     return np.log(convolved, out=convolved)

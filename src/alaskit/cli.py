@@ -108,25 +108,22 @@ def _cmd_recover(args):
 
 def _cmd_refine_fit(args):
     pairs, headers = [], []
-    with open(args.manifest, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{args.manifest}:{line_no}: expected '<alas>\\t<las>'")
-            pair, pair_headers = zip(*(_read(part, "las") for part in parts))
-            recovered, natural = pair
-            where = f"{args.manifest}:{line_no}"
-            if recovered.shape != natural.shape:
-                raise ValueError(f"{where}: pair shape mismatch: {parts[0]} {recovered.shape} vs "
-                                 f"{parts[1]} {natural.shape}")
-            if pairs and recovered.shape[1] != pairs[0][0].shape[1]:
-                raise ValueError(f"{where}: bin count mismatch: {parts[0]} {recovered.shape} vs "
-                                 f"{headers[0][0]} {pairs[0][0].shape} of the first pair")
-            pairs.append(pair)
-            headers += pair_headers
+    with io._about(args.manifest), open(args.manifest, encoding="utf-8") as fh:
+        lines = list(fh)
+    for line_no, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{args.manifest}:{line_no}: expected '<alas>\\t<las>'")
+        pair, pair_headers = zip(*(_read(part, "las") for part in parts))
+        with io._about(f"{args.manifest}:{line_no}"):
+            dsp._agree("shape", pair[0].shape, parts[0], pair[1].shape, parts[1])
+            if pairs:
+                dsp._agree("bins", pairs[0][0].shape[1], headers[0][0], pair[0].shape[1], parts[0])
+        pairs.append(pair)
+        headers += pair_headers
     if not pairs:
         raise ValueError(f"{args.manifest}: no training pairs")
     _agreed(*headers)
@@ -170,8 +167,8 @@ def _cmd_resynth(args):
     las, header = _read(args.input, "las")
     params = _params(header)
     with io._about(args.input):
-        dsp._check_magnitudes(las, params.num_bins)
-    io.write_wav(args.output, dsp.griffin_lim(las, params, iters=args.iters))
+        wave = dsp.griffin_lim(las, params, iters=args.iters)
+    io.write_wav(args.output, wave)
     return 0
 
 

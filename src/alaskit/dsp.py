@@ -33,6 +33,16 @@ def _agree(field: str, first, first_from: str, value, value_from: str) -> None:
                          f"{value} from {value_from}")
 
 
+def _finite(result, overflow: str, *inputs, refused: str = "LAS values must be finite"):
+    """``result``, computed with float errors ignored, if it is finite
+    everywhere; else a ValueError: ``refused`` if one of ``inputs`` is not
+    finite (they are read only then), else ``overflow``. The one rule of a
+    non-finite result: bad input, or an overflow of good input."""
+    if not np.isfinite(result).all():
+        raise ValueError(overflow if all(np.isfinite(x).all() for x in inputs) else refused)
+    return result
+
+
 def _read_only_float64(value) -> np.ndarray:
     """``value`` as a new, read-only float64 array: what is checked in it
     cannot change afterwards, through it or through the caller's array."""
@@ -223,17 +233,14 @@ def warp_cepstrum(m: np.ndarray, alpha: float) -> np.ndarray:
         raise ValueError(f"alpha must be finite with |alpha| < 1, got {alpha}")
     with np.errstate(over="ignore", invalid="ignore"):  # the result is checked below
         warped = m @ _warp_matrix(m.shape[-1], float(alpha)).T
-    if not np.isfinite(warped).all():
-        raise ValueError("cepstral vectors too large: their warp overflows")
-    return warped
+    return _finite(warped, "cepstral vectors too large: their warp overflows")
 
 
 def _check_las_shape(las, bins: int | None = None) -> np.ndarray:
     """The LAS as float64, if it is 2-D with at least one frame and one bin,
     and ``bins`` bins when given; else a ValueError. The shape half of the
     LAS rule: a function whose result is non-finite wherever its LAS is
-    checks this before any work and _check_las only once its result is
-    found non-finite."""
+    checks this before any work, and the values through _finite."""
     las = np.asarray(las, dtype=np.float64)
     if las.ndim != 2 or 0 in las.shape or (bins is not None and las.shape[1] != bins):
         raise ValueError(f"LAS must be (frames >= 1, {bins or 'bins >= 1'}), got shape {las.shape}")
@@ -250,16 +257,6 @@ def _check_las(las, bins: int | None = None) -> np.ndarray:
 
 
 _EXP_MAX = 709.78  # exp overflows above ~709.7827
-
-
-def _check_magnitudes(las, bins: int) -> np.ndarray:
-    """The LAS as float64, if _check_las takes it with ``bins`` bins and
-    exp(las) is finite everywhere (no value above _EXP_MAX): the rule of
-    griffin_lim's target; else a ValueError."""
-    las = _check_las(las, bins)
-    if las.max() > _EXP_MAX:
-        raise ValueError(f"LAS values must be at most {_EXP_MAX} (exp(las) must be finite)")
-    return las
 
 
 def _overlap_add(frames: np.ndarray, shift: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -315,7 +312,9 @@ def griffin_lim(las: np.ndarray, params: AnalysisParams, iters: int = 60,
     momentum step run on the calling thread. Each row's arithmetic does not
     depend on its block, so the output does not depend on the CPU count.
     """
-    las = _check_magnitudes(las, params.num_bins)
+    las = _check_las(las, params.num_bins)
+    if las.max() > _EXP_MAX:
+        raise ValueError(f"LAS values must be at most {_EXP_MAX} (exp(las) must be finite)")
     iters = _at_least("iters", iters, 1)
     if not 0.0 <= momentum <= 1.0:  # false for NaN
         raise ValueError(f"momentum must be in [0, 1], got {momentum}")

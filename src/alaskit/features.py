@@ -16,6 +16,7 @@ from .dsp import (
     _agree,
     _at_least,
     _check_peak,
+    _finite,
     _frame_view,
     _padded,
     _read_only_float64,
@@ -235,7 +236,8 @@ def mcep_analysis(las_frame: np.ndarray, params: AnalysisParams) -> np.ndarray:
     is inverse Fourier transformed to a length-K cepstrum, warped with
     -alpha, and truncated to MCEP_ORDER+1 = 41 coefficients, which needs
     K > MCEP_ORDER bins. Leading axes are batch axes; the spectra must be
-    finite.
+    finite, and so must their coefficients: spectra at the float64 limit
+    can overflow the energy coefficient.
 
     The shape and the bin count are checked before any work. Every map
     entry a bin meets is a product, so a NaN or ±inf bin leaves its
@@ -250,12 +252,10 @@ def mcep_analysis(las_frame: np.ndarray, params: AnalysisParams) -> np.ndarray:
     if k <= MCEP_ORDER:
         raise ValueError(f"{MCEP_ORDER + 1} mel-cepstra need at least {MCEP_ORDER + 1} spectral "
                          f"bins, got {k} (fft_size {params.fft_size})")
-    # a NaN or ±inf spectrum is refused below; finite spectra whose coefficients overflow warn
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # the result is checked
         mcep = las_frame @ _cepstral_analysis_map(params)[:, : MCEP_ORDER + 1]
-    if not np.isfinite(mcep).all() and not np.isfinite(las_frame).all():
-        raise ValueError("log spectra must be finite")
-    return mcep
+    return _finite(mcep, "log spectra too large: their mel-cepstra overflow", las_frame,
+                   refused="log spectra must be finite")
 
 
 def extract_features(wave: Waveform, params: AnalysisParams) -> FeatureTrack:

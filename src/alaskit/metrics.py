@@ -7,12 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Waveform, _agree, _at_least, _check_las, _check_las_shape
+from .dsp import Waveform, _agree, _at_least, _check_las, _check_las_shape, _finite
 from .features import FeatureTrack
 
 # natural-log amplitude -> dB
 DB_PER_LOG = 20.0 / math.log(10.0)
 _MCD_SCALE = 10.0 / math.log(10.0)
+# a metric of finite inputs that is not finite
+_TOO_FAR = " overflows the float64 range: the inputs are too far apart"
 
 
 @dataclass(frozen=True)
@@ -74,8 +76,7 @@ def snr_db(ref: Waveform, test: Waveform) -> float:
     with np.errstate(over="ignore"):  # the energies are checked below
         signal = float(r @ r)
         noise = float((r - t) @ (r - t))
-    if not math.isfinite(signal + noise):
-        raise ValueError("signal energies overflow the float64 range")
+    _finite(signal + noise, "signal energies overflow the float64 range")
     if signal <= 0.0:
         raise ValueError("zero reference energy")
     if noise == 0.0:
@@ -105,10 +106,7 @@ def las_rmse_db(ref: np.ndarray, test: np.ndarray) -> float:
         diff *= DB_PER_LOG
         diff *= diff
         rmse = np.sqrt(np.mean(diff))
-    if not np.isfinite(rmse):
-        _check_las(ref)
-        _check_las(test)
-    return _finite("las_rmse_db", rmse)
+    return float(_finite(rmse, "las_rmse_db" + _TOO_FAR, ref, test))
 
 
 def mcd_v_db(ref: FeatureTrack, test: FeatureTrack) -> float:
@@ -117,7 +115,7 @@ def mcd_v_db(ref: FeatureTrack, test: FeatureTrack) -> float:
     with np.errstate(over="ignore"):  # the result is checked
         diff = ref.mcep[both, 1:] - test.mcep[both, 1:]
         per_frame = _MCD_SCALE * np.sqrt(2.0 * np.sum(diff * diff, axis=1))
-        return _finite("mcd_v_db", per_frame.mean())
+        return float(_finite(per_frame.mean(), "mcd_v_db" + _TOO_FAR))
 
 
 def f0_rmse_cent(ref: FeatureTrack, test: FeatureTrack) -> float:
@@ -125,22 +123,13 @@ def f0_rmse_cent(ref: FeatureTrack, test: FeatureTrack) -> float:
     both = _common_voiced(ref, test)
     with np.errstate(over="ignore", divide="ignore"):  # the result is checked
         cents = 1200.0 * np.log2(test.f0[both] / ref.f0[both])
-        return _finite("f0_rmse_cent", np.sqrt(np.mean(cents * cents)))
+        return float(_finite(np.sqrt(np.mean(cents * cents)), "f0_rmse_cent" + _TOO_FAR))
 
 
 def vuv_error_pct(ref: FeatureTrack, test: FeatureTrack) -> float:
     """Percentage of frames whose voicing flags disagree."""
     ref_v, test_v = _track_vuv(ref, test)
     return 100.0 * float(np.mean(ref_v != test_v))
-
-
-def _finite(name: str, value) -> float:
-    """``value`` as a float if it is finite, else a ValueError: the metric
-    ``name`` of inputs this far apart lies past the float64 range."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} overflows the float64 range: the inputs are too far apart")
-    return value
 
 
 def _truncate_rows(a, b, stacklevel=3):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import _agree, _check_las, _check_las_shape, _read_only_float64
+from .dsp import _agree, _check_las_shape, _finite, _read_only_float64
 from .io import _payload_rows, _read_container, _write_container
 
 _REFINER_MAGIC = b"ALRF"  # the .alrf container's magic, see save_refiner
@@ -56,14 +56,11 @@ def fit_refiner(pairs) -> RefinerModel:
     pairs = list(pairs)
     if not pairs:
         raise ValueError("no training pairs")
-    bins = np.shape(pairs[0][0])[1:]
-    checked = []
+    checked, bins = [], None
     for recovered, natural in pairs:
         _agree("shape", np.shape(recovered), "recovered", np.shape(natural), "natural")
-        if np.ndim(recovered) != 2 or np.shape(recovered)[1:] != bins:
-            raise ValueError(f"bin count mismatch: pairs must be 2-D with one bin count, "
-                             f"got {np.shape(recovered)} after {np.shape(pairs[0][0])}")
-        checked.append((_check_las_shape(recovered), _check_las_shape(natural)))
+        checked.append((_check_las_shape(recovered, bins), _check_las_shape(natural)))
+        bins = checked[0][0].shape[1]
     count = sum(recovered.shape[0] for recovered, _ in checked)
     with np.errstate(over="ignore", invalid="ignore"):  # the statistics are checked below
         x_sum = y_sum = 0.0
@@ -82,11 +79,9 @@ def fit_refiner(pairs) -> RefinerModel:
         gain = np.where(degenerate, 1.0, covariance / safe_var)
         bias = y_mean - gain * x_mean
     # a mean that overflows, or a non-finite value, makes the moments and the bias non-finite too
-    if not all(np.isfinite(v).all() for v in (x_var, covariance, gain, bias)):
-        for pair in checked:
-            for las in pair:
-                _check_las(las)
-        raise ValueError("the pairs' statistics overflow the float64 range")
+    every = [las for pair in checked for las in pair]
+    for statistic in (x_var, covariance, gain, bias):
+        _finite(statistic, "the pairs' statistics overflow the float64 range", *every)
     return RefinerModel(gain=gain, bias=bias)
 
 
@@ -101,10 +96,7 @@ def apply_refiner(model: RefinerModel, alas: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # the result is checked below
         out = alas * model.gain
         out += model.bias
-    if not np.isfinite(out).all():
-        _check_las(alas)
-        raise ValueError("the refiner's gains or biases take the LAS past the float64 range")
-    return out
+    return _finite(out, "the refiner's gains or biases take the LAS past the float64 range", alas)
 
 
 def save_refiner(model: RefinerModel, path) -> None:

@@ -313,9 +313,9 @@ def test_refine_fit_of_manifest_without_pairs_names_it(tmp_path, capsys):
 
 @pytest.mark.parametrize("shapes, message", [
     ([(100, 257), (100, 257), (100, 257), (103, 257)],
-     "pair shape mismatch: {2} (100, 257) vs {3} (103, 257)"),
+     "shape mismatch: (100, 257) from {2}, (103, 257) from {3}"),
     ([(100, 257), (100, 257), (100, 129), (100, 129)],
-     "bin count mismatch: {2} (100, 129) vs {0} (100, 257) of the first pair"),
+     "bins mismatch: 257 from {0}, 129 from {2}"),
 ], ids=["frames", "bins"])
 def test_refine_fit_names_the_line_of_a_mismatched_pair(tmp_path, capsys, shapes, message):
     # before: "pair shape mismatch: (100, 257) vs (103, 257)" or "bin count
@@ -327,7 +327,18 @@ def test_refine_fit_names_the_line_of_a_mismatched_pair(tmp_path, capsys, shapes
     manifest.write_text(f"{paths[0]}\t{paths[1]}\n\n{paths[2]}\t{paths[3]}\n")
     model = tmp_path / "m.alrf"
     assert cli.main(["refine-fit", str(manifest), "-o", str(model)]) == 2
-    assert f"{manifest}:3: {message.format(*paths)}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"alaskit: error: {manifest}:3: {message.format(*paths)}\n"
+    assert not model.exists()
+
+
+def test_refine_fit_of_an_undecodable_manifest_names_it(tmp_path, capsys):
+    # before: the decode error alone, naming no file
+    manifest = tmp_path / "pairs.txt"
+    manifest.write_bytes(b"\xff\xfea.lask\tb.lask\n")
+    model = tmp_path / "m.alrf"
+    assert cli.main(["refine-fit", str(manifest), "-o", str(model)]) == 2
+    assert capsys.readouterr().err == (f"alaskit: error: {manifest}: 'utf-8' codec can't decode "
+                                       "byte 0xff in position 0: invalid start byte\n")
     assert not model.exists()
 
 

@@ -1,12 +1,15 @@
-"""The two rules every count, rate and geometry check goes through.
+"""The rules every count, rate, geometry and result check goes through.
 
 dsp._at_least refuses a count or a rate that is not an integer of at least
 its minimum; dsp._agree refuses two sources that give one geometry field
-different values. Each site is pinned to its exact message, which states
-the refused value or values.
+different values; dsp._finite refuses a non-finite result, naming a
+non-finite input if there is one and the overflow otherwise. Each site is
+pinned to its exact message; the first two state the refused value or
+values.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +19,9 @@ from alaskit import (
     AnalysisParams,
     EvalReport,
     FeatureTrack,
+    RefinerModel,
     Waveform,
+    apply_refiner,
     cli,
     estimate_f0,
     extract_las,
@@ -24,14 +29,17 @@ from alaskit import (
     fit_refiner,
     griffin_lim,
     hann_window,
+    las_rmse_db,
     mcd_v_db,
+    mcep_analysis,
     read_las_file,
     recover_alas,
     snr_db,
     vuv_error_pct,
+    warp_cepstrum,
     write_las_file,
 )
-from alaskit.dsp import _at_least
+from alaskit.dsp import _at_least, _finite
 
 
 def _track(**changes):
@@ -134,3 +142,82 @@ def test_geometry_rule_states_both_values_at_every_site(site):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+def _nan_at_end(shape):
+    values = np.zeros(shape)
+    values[-1, -1] = np.nan
+    return values
+
+
+def _gains(value):
+    return RefinerModel(gain=np.full(257, value), bias=np.zeros(257))
+
+
+_UNVOICED_709 = np.zeros((5, 41))
+_UNVOICED_709[:, 0] = 709.0  # exp is finite; an unvoiced frame's convolution is not
+_APART = " overflows the float64 range: the inputs are too far apart"
+
+# site: (a call whose result overflows, its refusal, and for a site that reads
+# its inputs only once its result is non-finite, a call with a NaN input and its
+# refusal)
+RESULT_SITES = {
+    "warp_cepstrum": (lambda: warp_cepstrum(np.full(257, 1.7e308), 0.42),
+                      "cepstral vectors too large: their warp overflows", None, None),
+    "recover_alas": (lambda: recover_alas(_track(f0=np.zeros(5), mcep=_UNVOICED_709),
+                                          AnalysisParams()),
+                     "mel-cepstra too large: the window convolution of their spectra overflows",
+                     None, None),
+    "mcep_analysis": (lambda: mcep_analysis(np.full((2, 257), np.finfo(np.float64).max),
+                                            AnalysisParams()),
+                      "log spectra too large: their mel-cepstra overflow",
+                      lambda: mcep_analysis(_nan_at_end((2, 257)), AnalysisParams()),
+                      "log spectra must be finite"),
+    "apply_refiner": (lambda: apply_refiner(_gains(1e308), np.full((3, 257), 2.0)),
+                      "the refiner's gains or biases take the LAS past the float64 range",
+                      lambda: apply_refiner(_gains(1.0), _nan_at_end((3, 257))),
+                      "LAS values must be finite"),
+    "fit_refiner": (lambda: fit_refiner([(np.full((3, 257), 1e308), np.zeros((3, 257)))]),
+                    "the pairs' statistics overflow the float64 range",
+                    lambda: fit_refiner([(np.zeros((3, 257)), _nan_at_end((3, 257)))]),
+                    "LAS values must be finite"),
+    "snr_db": (lambda: snr_db(Waveform(np.full(8, 1e200), 16000), Waveform(np.zeros(8), 16000)),
+               "signal energies overflow the float64 range", None, None),
+    "las_rmse_db": (lambda: las_rmse_db(np.full((2, 257), 1e200), np.full((2, 257), -1e200)),
+                    "las_rmse_db" + _APART,
+                    lambda: las_rmse_db(np.zeros((2, 257)), _nan_at_end((2, 257))),
+                    "LAS values must be finite"),
+    "mcd_v_db": (lambda: mcd_v_db(_track(mcep=np.full((5, 41), 1e200)),
+                                  _track(mcep=np.full((5, 41), -1e200))),
+                 "mcd_v_db" + _APART, None, None),
+    "f0_rmse_cent": (lambda: f0_rmse_cent(_track(f0=np.full(5, 1e-300)),
+                                          _track(f0=np.full(5, 1e300))),
+                     "f0_rmse_cent" + _APART, None, None),
+}
+
+
+def _refused_without_warning(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("site", RESULT_SITES)
+def test_result_rule_refuses_an_overflow_at_every_site(site):
+    _refused_without_warning(*RESULT_SITES[site][:2])
+
+
+@pytest.mark.parametrize("site", [site for site, entry in RESULT_SITES.items() if entry[2]])
+def test_result_rule_refuses_a_non_finite_input_at_every_site(site):
+    _refused_without_warning(*RESULT_SITES[site][2:])
+
+
+def test_result_rule_reads_its_inputs_only_for_a_non_finite_result():
+    result, unreadable = np.ones(3), object()  # np.isfinite refuses an object
+    assert _finite(result, "overflow", unreadable) is result
+    with pytest.raises(ValueError, match="^overflow$"):
+        _finite(np.full(3, np.inf), "overflow", np.ones(3))
+    with pytest.raises(ValueError, match="^bad input$"):
+        _finite(np.full(3, np.nan), "overflow", np.ones(3), np.full(3, np.nan), refused="bad input")
