@@ -126,6 +126,15 @@ def hann_window(length: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
 
 
+@lru_cache(maxsize=8)
+def _hann(length: int) -> np.ndarray:
+    """hann_window(length), built once per length and read-only, for the
+    analyses that only read it."""
+    window = hann_window(length)
+    window.flags.writeable = False
+    return window
+
+
 def num_frames(n_samples: int, frame_shift: int) -> int:
     """Frame count for a signal: one frame per started shift interval."""
     return -(-n_samples // frame_shift)
@@ -135,8 +144,12 @@ def _frame_view(span: np.ndarray, length: int, shift: int, writeable: bool = Fal
     """The frames of ``length`` samples starting every ``shift`` samples of
     ``span`` that lie inside it, as a strided view (no copy); read-only
     unless ``writeable``, which is safe only while length <= shift, where
-    no two frames share a sample."""
-    return np.lib.stride_tricks.sliding_window_view(span, length, writeable=writeable)[::shift]
+    no two frames share a sample. The view is that of
+    sliding_window_view(span, length)[::shift], built from the span's size
+    and stride without that function's argument checks."""
+    step = span.strides[0]
+    return np.lib.stride_tricks.as_strided(span, ((span.size - length) // shift + 1, length),
+                                           (shift * step, step), writeable=writeable)
 
 
 def _padded(samples: np.ndarray, length: int, shift: int) -> np.ndarray:
@@ -183,7 +196,7 @@ def extract_las(wave: Waveform, params: AnalysisParams) -> np.ndarray:
     # |X[k]| is at most the peak times the window's sum, frame_len / 2, so
     # this limit leaves a factor 2 of headroom inside the FFT.
     _check_peak(wave, np.finfo(np.float64).max / length, "LAS", "the spectra overflow")
-    las = np.abs(np.fft.rfft(frames * hann_window(length), n=params.fft_size, axis=1))
+    las = np.abs(np.fft.rfft(frames * _hann(length), n=params.fft_size, axis=1))
     np.maximum(las, params.log_floor, out=las)
     return np.log(las, out=las)
 
@@ -320,7 +333,7 @@ def griffin_lim(las: np.ndarray, params: AnalysisParams, iters: int = 60,
         raise ValueError(f"momentum must be in [0, 1], got {momentum}")
     magnitudes = np.exp(las)
     n, length, shift = magnitudes.shape[0], params.frame_len, params.frame_shift
-    window = hann_window(length)
+    window = _hann(length)
     norm = _overlap_add(np.broadcast_to(window * window, (n, length)), shift)
     # samples covered below 1% of the peak stay unnormalized: dividing there
     # would amplify edge samples by up to the inverse squared window value
@@ -328,7 +341,10 @@ def griffin_lim(las: np.ndarray, params: AnalysisParams, iters: int = 60,
     phase = -2.0 * np.pi * np.arange(params.num_bins) * (length // 2) / params.fft_size
     spectra = magnitudes * np.exp(1j * phase)
     full = np.empty((n, params.fft_size))
-    np.fft.irfft(spectra, n=params.fft_size, axis=1, out=full)
+    # exp(las) is finite, but the inverse FFT sums every bin's magnitude
+    with np.errstate(over="ignore", invalid="ignore"):  # the result is checked
+        np.fft.irfft(spectra, n=params.fft_size, axis=1, out=full)
+    _finite(full, "LAS values too large: their synthesis overflows")
     full[:, :length] *= window
     signal, previous, estimate = np.empty((3, norm.size))
     analysed = _frame_view(estimate, length, shift)

@@ -18,7 +18,6 @@ from .dsp import (
     _check_peak,
     _finite,
     _frame_view,
-    _padded,
     _read_only_float64,
     extract_las,
     num_frames,
@@ -86,11 +85,13 @@ def estimate_f0(wave: Waveform, params: AnalysisParams) -> tuple[np.ndarray, np.
     its peak |sample| small enough that the energy products stay finite
     (about 5.4e75 at the default geometry); a larger one is a ValueError.
 
-    The frames go in chunks of about 32768 correlation values, and each
+    The frames go in chunks of about 65536 correlation values, and each
     step runs on the whole chunk at once: the correlations, the lagged and
     frame energies, the normalisation and the RMS gate
     (:func:`_normalized_correlation`), then the peak pick and the fit
-    (:func:`_f0_from_correlation`). Each frame is cut into pieces of at
+    (:func:`_f0_from_correlation`). A chunk reads its span of samples in
+    place; only one whose lags run past the last sample is zero-padded, in
+    a copy of that span. Each frame is cut into pieces of at
     most frame_shift samples, so a chunk computes each sample product once,
     not once per frame that overlaps it. Every energy, the frame's and the
     lagged ones, is read from one array of frame_len-wide window sums per
@@ -108,7 +109,6 @@ def estimate_f0(wave: Waveform, params: AnalysisParams) -> tuple[np.ndarray, np.
     lag_min = int(fs / F0_MAX)
     lag_max = min(int(np.ceil(fs / F0_MIN)), len(wave))  # later lags meet only zero padding (r = 0)
     n = num_frames(len(wave), shift)
-    span = _padded(wave.samples, length + lag_max, shift)
 
     f0 = np.zeros(n)
     if lag_max <= lag_min:
@@ -120,13 +120,22 @@ def estimate_f0(wave: Waveform, params: AnalysisParams) -> tuple[np.ndarray, np.
     # r is kept for lags lo..lag_max only: the span lag_min..lag_max and the
     # one lag below it that the parabolic fit reads (lag_min >= 1, as fs >= F0_MAX).
     lo = lag_min - 1
-    chunk = max(1, 32768 // (lag_max - lo + 1))
+    chunk = _chunk_rows(lag_max - lo + 1)
     for start in range(0, n, chunk):
         rows = min(chunk, n - start)
-        f0[start : start + rows] = _f0_from_correlation(_normalized_correlation(
-            span[start * shift : (start + rows - 1) * shift + length + lag_max], rows, lo, length,
-            shift), lo, fs)
+        begin, end = start * shift, (start + rows - 1) * shift + length + lag_max
+        span = wave.samples[begin:end]
+        if span.size < end - begin:  # zero-padded where the lags run past the last sample
+            span = np.concatenate([span, np.zeros(end - begin - span.size)])
+        f0[start : start + rows] = _f0_from_correlation(
+            _normalized_correlation(span, rows, lo, length, shift), lo, fs)
     return f0, f0 > 0
+
+
+def _chunk_rows(lags: int) -> int:
+    """The frames per estimate_f0 chunk for ``lags`` kept lags: about 65536
+    correlation values (512 kB), at least one frame."""
+    return max(1, 65536 // lags)
 
 
 def _normalized_correlation(span: np.ndarray, rows: int, lo: int, length: int,
@@ -158,14 +167,24 @@ def _normalized_correlation(span: np.ndarray, rows: int, lo: int, length: int,
         # blocks first .. first + count + rows - 2, each with its lag segment
         part = span[first * shift : (first + count + rows - 2) * shift + lag_max + width]
         blocks = _frame_view(part, lag_max + width, shift)
-        corr = np.vecdot(np.lib.stride_tricks.sliding_window_view(blocks[:, lo:], width, axis=1),
-                         blocks[:, None, :width])
+        corr = np.vecdot(_lag_windows(blocks, lo, width), blocks[:, None, :width])
         for c in range(count):
             r += corr[c : c + rows]
     lagged += 1e-300
     r /= np.sqrt(lagged, out=lagged)
     r[np.sqrt(energy / length) < RMS_GATE] = 0.0  # a gated frame reads as unvoiced
     return r
+
+
+def _lag_windows(blocks: np.ndarray, lo: int, width: int) -> np.ndarray:
+    """Per row of ``blocks``, its windows of ``width`` samples starting at
+    each column lo, lo + 1, ... that leaves a full window, as a read-only
+    (rows, windows, width) view: sliding_window_view(blocks[:, lo:], width,
+    axis=1), built from the strides without that function's checks."""
+    rows, step = blocks.strides
+    return np.lib.stride_tricks.as_strided(
+        blocks[:, lo:], (blocks.shape[0], blocks.shape[1] - lo - width + 1, width),
+        (rows, step, step), writeable=False)
 
 
 def _window_sums(x: np.ndarray, width: int) -> np.ndarray:

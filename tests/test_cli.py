@@ -563,6 +563,20 @@ def test_resynth_to_unwritable_path_prints_one_error_line(tmp_path):
     assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
 
 
+def test_resynth_of_a_las_whose_synthesis_overflows_prints_one_error_line(tmp_path):
+    # before: two RuntimeWarnings from irfft, then "samples must be finite",
+    # which names the output, not the cause; a traceback under -W error
+    las = tmp_path / "l709.lask"
+    write_las_file(las, np.full((5, 257), 709.0), 80, 16000)
+    out = tmp_path / "s.wav"
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "alaskit.cli", "resynth",
+                           str(las), "-o", str(out), "--iters", "2"], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr == f"alaskit: error: {las}: LAS values too large: their synthesis overflows\n"
+    assert not out.exists()
+
+
 def _tracks_of(tmp_path, *frame_counts):
     """A voiced .aftk of each frame count, at the default geometry."""
     paths = []

@@ -32,7 +32,7 @@ from alaskit import (
     las_rmse_db,
 )
 from alaskit import dsp
-from alaskit.dsp import _frame_view, _overlap_add, _padded
+from alaskit.dsp import _frame_view, _hann, _overlap_add, _padded
 
 # Griffin-Lim against the per-frame, angle/exp oracle: the overlap-add adds
 # in the loop's order, so one iteration is bit-identical; the phasor update
@@ -172,6 +172,56 @@ class TestHannWindow:
         with pytest.raises(ValueError, match="window length must be an integer"):
             hann_window(length)
         assert np.array_equal(hann_window(np.int64(320)), hann_window(320))
+
+    def test_analysis_window_is_one_read_only_array_per_length(self):
+        window = _hann(320)
+        assert _hann(320) is window and not window.flags.writeable
+        assert np.array_equal(window, hann_window(320))
+        fresh = hann_window(320)
+        fresh[0] = 1.0  # the public window is the caller's own array
+        assert fresh.flags.writeable and window[0] == 0.0 and hann_window(320)[0] == 0.0
+
+
+def _assert_same_view(got, want, span):
+    assert got.shape == want.shape and got.strides == want.strides
+    assert got.flags.writeable == want.flags.writeable and np.shares_memory(got, span)
+    assert np.array_equal(got, want)
+
+
+class TestFrameView:
+    """_frame_view builds the view of sliding_window_view(span, length)[::shift]
+    from the span's size and stride."""
+
+    @pytest.mark.parametrize("writeable", [False, True])
+    def test_matches_sliding_window_view_over_a_grid(self, writeable):
+        for size in range(1, 41):
+            span = np.arange(float(size))
+            for length, shift in itertools.product(range(1, size + 1), range(1, 12)):
+                want = np.lib.stride_tricks.sliding_window_view(span, length,
+                                                                writeable=writeable)[::shift]
+                _assert_same_view(_frame_view(span, length, shift, writeable), want, span)
+
+    def test_a_read_only_span_gives_a_read_only_view(self):
+        span = np.arange(10.0)
+        span.flags.writeable = False
+        for writeable in (False, True):
+            assert not _frame_view(span, 4, 3, writeable).flags.writeable
+
+    @pytest.mark.parametrize("length, shift", OVERLAP_GEOMETRIES)
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_matches_sliding_window_view_on_overlap_add_pieces(self, length, shift, n):
+        # the writeable views _overlap_add adds each piece through, and a
+        # write through one lands in the signal
+        out = np.zeros((n - 1) * shift + length)
+        for start in range(0, length, shift):
+            width = min(shift, length - start)
+            want = np.lib.stride_tricks.sliding_window_view(out[start:], width,
+                                                            writeable=True)[::shift]
+            got = _frame_view(out[start:], width, shift, writeable=True)
+            _assert_same_view(got, want, out)
+            assert got.shape[0] >= n
+            got[-1, -1] = start + 1.0
+            assert out[start + (got.shape[0] - 1) * shift + width - 1] == start + 1.0
 
 
 @settings(max_examples=80, deadline=None)
@@ -360,6 +410,15 @@ class TestGriffinLim:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="LAS"):
                 griffin_lim(las, params, iters=60)
+
+    @pytest.mark.parametrize("level", [703.0, 703.5])
+    def test_las_just_below_the_synthesis_overflow_synthesised(self, params, level):
+        # exp(level) summed over the bins stays finite; from about 704 the
+        # first synthesis overflows and the LAS is refused (tests/test_rules.py)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = griffin_lim(np.full((5, params.num_bins), level), params, iters=5)
+        assert np.max(np.abs(out.samples)) == 1.0
 
     def test_one_iteration_bit_identical_to_oracle(self, params, vowel_corpus):
         for wave in vowel_corpus:

@@ -24,6 +24,7 @@ from alaskit import (
     write_feature_file,
 )
 from alaskit import features
+from alaskit.dsp import _frame_view
 
 
 def _sine(freq, seconds, fs, amp=0.5):
@@ -31,9 +32,10 @@ def _sine(freq, seconds, fs, amp=0.5):
     return Waveform(amp * np.sin(2 * np.pi * freq * t), fs)
 
 
-# estimate_f0 picks peaks on chunks of 32768 // lags frames; at 16 kHz it keeps
-# the 290 lags 31..320, so a chunk holds 112 frames
-CHUNK = 112
+# estimate_f0 keeps the lags int(fs / F0_MAX) - 1 .. ceil(fs / F0_MIN), at 16 kHz
+# the 290 lags 31..320, and picks peaks on chunks of _chunk_rows(lags) frames
+CHUNK = features._chunk_rows(int(np.ceil(16000 / features.F0_MIN)) - int(16000 / features.F0_MAX)
+                             + 2)
 
 
 def _assert_matches_oracle(samples, params):
@@ -185,8 +187,9 @@ class TestEstimateF0:
     @pytest.mark.parametrize("frames", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
     def test_matches_padded_buffer_search_across_chunk_seams(self, params, monkeypatch, frames):
         # silence, then a vowel from frame 60 on: voiced runs cross every seam
+        # (the vowel's F0 steps halfway, at frame 660, past the last case's end)
         seen = _chunks_seen(monkeypatch)
-        vowel = vowelgen.synth_vowel([140.0, 210.0], 3.0, params.sample_rate, 5,
+        vowel = vowelgen.synth_vowel([140.0, 210.0], 6.0, params.sample_rate, 5,
                                      vowelgen.FORMANT_SETS[1]).samples
         samples = np.zeros(frames * params.frame_shift)
         samples[60 * params.frame_shift :] = vowel[: samples.size - 60 * params.frame_shift]
@@ -200,8 +203,8 @@ class TestEstimateF0:
         # some noise seeds the frame half in the noise's tail is)
         seen = _chunks_seen(monkeypatch)
         shift = params.frame_shift
-        vowel = vowelgen.synth_vowel([160.0], 1.0, params.sample_rate, 6,
-                                     vowelgen.FORMANT_SETS[2]).samples
+        vowel = vowelgen.synth_vowel([160.0], CHUNK * shift / params.sample_rate, params.sample_rate,
+                                     6, vowelgen.FORMANT_SETS[2]).samples
         noise = 0.05 * np.random.default_rng(12).standard_normal(CHUNK * shift // 2)
         samples = np.concatenate([vowel[: CHUNK * shift], noise,
                                   np.zeros((CHUNK // 2 + 10) * shift), vowel[: 40 * shift]])
@@ -271,13 +274,16 @@ class TestEstimateF0:
 
     @pytest.mark.parametrize("rate, samples, bound", [
         (192000, 48000, 2_000_000), (16_000_000, 1600, 2_000_000), (16000, 128000, 2_600_000),
-    ], ids=["192000-48000", "16000000-1600", "16000-128000"])
+        (16000, 960000, 2_600_000),
+    ], ids=["192000-48000", "16000000-1600", "16000-128000", "16000-960000"])
     def test_memory_does_not_grow_with_frames_times_lags(self, rate, samples, bound):
         # A (frames, frame_len + lag range) copy of the segments would take
         # 40 MB for 0.25 s at 192 kHz; at 16 MHz the lag range runs far past
-        # the signal's end, and scanning it would take 100 MB. Over 8 s at
-        # 16 kHz the padded signal alone takes 1.03 MB; squares or window sums
-        # kept for the whole signal, not per chunk, would add as much each.
+        # the signal's end, and scanning it would take 100 MB. Each chunk
+        # reads its span of the samples in place: a zero-padded copy of the
+        # whole signal would take 1.03 MB over 8 s at 16 kHz and 7.7 MB over
+        # 60 s, and squares or window sums kept for the whole signal, not per
+        # chunk, as much each. The peak is about 1.7 MB at 8 s and 60 s alike.
         wave = Waveform(0.5 * np.sin(2 * np.pi * 200.0 * np.arange(samples) / rate), rate)
         tracemalloc.start()
         try:
@@ -287,6 +293,21 @@ class TestEstimateF0:
             tracemalloc.stop()
         assert peak < bound
         assert vuv.any() == (rate != 16_000_000)
+
+
+class TestLagWindows:
+    @pytest.mark.parametrize("shift, width", [(80, 80), (96, 96), (96, 32), (7, 7), (7, 5), (1, 1)])
+    @pytest.mark.parametrize("lo, lag_max", [(31, 320), (0, 3), (2, 2), (5, 9)])
+    def test_matches_sliding_window_view_of_the_blocks(self, shift, width, lo, lag_max):
+        # blocks as _normalized_correlation cuts them: a frame view of the
+        # span, each block a piece and its lag segment
+        part = np.random.default_rng(shift + width).standard_normal(6 * shift + lag_max + width)
+        blocks = _frame_view(part, lag_max + width, shift)
+        want = np.lib.stride_tricks.sliding_window_view(blocks[:, lo:], width, axis=1)
+        got = features._lag_windows(blocks, lo, width)
+        assert got.shape == want.shape == (7, lag_max - lo + 1, width)
+        assert got.strides == want.strides and not got.flags.writeable
+        assert np.shares_memory(got, part) and np.array_equal(got, want)
 
 
 class TestWindowSums:

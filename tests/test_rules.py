@@ -193,6 +193,9 @@ RESULT_SITES = {
     "f0_rmse_cent": (lambda: f0_rmse_cent(_track(f0=np.full(5, 1e-300)),
                                           _track(f0=np.full(5, 1e300))),
                      "f0_rmse_cent" + _APART, None, None),
+    # exp(709) is finite; the first synthesis's inverse FFT sums 257 of them
+    "griffin_lim": (lambda: griffin_lim(np.full((5, 257), 709.0), AnalysisParams(), iters=2),
+                    "LAS values too large: their synthesis overflows", None, None),
 }
 
 
