@@ -184,9 +184,11 @@ class TestEstimateF0:
         _assert_matches_oracle(samples, params)
 
 
-    @pytest.mark.parametrize("frames", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("frames", [111, 112, 113, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
     def test_matches_padded_buffer_search_across_chunk_seams(self, params, monkeypatch, frames):
         # silence, then a vowel from frame 60 on: voiced runs cross every seam
+        # (111..113 frames, around an earlier chunk size, fit in one chunk
+        # that runs past the signal's end)
         # (the vowel's F0 steps halfway, at frame 660, past the last case's end)
         seen = _chunks_seen(monkeypatch)
         vowel = vowelgen.synth_vowel([140.0, 210.0], 6.0, params.sample_rate, 5,
