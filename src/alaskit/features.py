@@ -85,7 +85,7 @@ def estimate_f0(wave: Waveform, params: AnalysisParams) -> tuple[np.ndarray, np.
     its peak |sample| small enough that the energy products stay finite
     (about 5.4e75 at the default geometry); a larger one is a ValueError.
 
-    The frames go in chunks of about 65536 correlation values, and each
+    The frames go in chunks of about 32768 correlation values, and each
     step runs on the whole chunk at once: the correlations, the lagged and
     frame energies, the normalisation and the RMS gate
     (:func:`_normalized_correlation`), then the peak pick and the fit
@@ -133,9 +133,9 @@ def estimate_f0(wave: Waveform, params: AnalysisParams) -> tuple[np.ndarray, np.
 
 
 def _chunk_rows(lags: int) -> int:
-    """The frames per estimate_f0 chunk for ``lags`` kept lags: about 65536
-    correlation values (512 kB), at least one frame."""
-    return max(1, 65536 // lags)
+    """The frames per estimate_f0 chunk for ``lags`` kept lags: about 32768
+    correlation values (256 kB), at least one frame."""
+    return max(1, 32768 // lags)
 
 
 def _normalized_correlation(span: np.ndarray, rows: int, lo: int, length: int,

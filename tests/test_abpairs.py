@@ -85,14 +85,17 @@ def test_report_prints_one_row_per_end_to_end_metric(capsys):
     tool = _tool()
 
     def run(xrt, rss):
+        # run.py writes a metric it could not measure as null; op_p50_s is absent
         return {"correct": True, "attempted": 120, "failed": 0,
-                "metrics": {"xrt": {"value": xrt}, "peak_rss_mb": {"value": rss}}}
+                "metrics": {"xrt": {"value": xrt}, "peak_rss_mb": {"value": rss},
+                            "setup_s": {"value": None}}}
 
     runs = {"parent": [run(200.0 + i, 700.0) for i in range(10)],
             "change": [run(220.0 + i, 700.0) for i in range(10)]}
     benchmark = {"end_to_end": [{"name": "xrt", "better": "higher"},
                                 {"name": "peak_rss_mb", "better": "lower"},
-                                {"name": "setup_s", "better": "lower"}]}
+                                {"name": "setup_s", "better": "lower"},
+                                {"name": "op_p50_s", "better": "lower"}]}
     tool.report(runs, benchmark)
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "parent: 10 runs, 0 not correct, 0/1200 operations failed"
@@ -100,4 +103,7 @@ def test_report_prints_one_row_per_end_to_end_metric(capsys):
     assert rows["xrt"][-3:] == ["+9.8%", "10/10", "yes"]
     assert rows["peak_rss_mb"][-3:] == ["+0.0%", "0/10", "no"]
     assert rows["setup_s"][1:] == ["(missing", "in", "some", "run)"]
+    assert rows["op_p50_s"][1:] == ["(missing", "in", "some", "run)"]
     assert math.isnan(tool.value(runs["parent"][0], "setup_s"))
+    assert math.isnan(tool.value(runs["parent"][0], "op_p50_s"))
+

@@ -13,10 +13,9 @@ line, the JSON object with ``correct``, ``attempted``, ``failed`` and
 the run ends. This reads the checkouts and changes nothing in them but
 the work directory run.py keeps there.
 
-Then, per end-to-end metric of BENCHMARK.json (this checkout's, or
-``--benchmark``), one row: each side's median and quartiles (linear
-interpolation, as numpy's default percentile), the change's median against
-the parent's, the pairs the change won (strictly better in its ``better``
+Then, per end-to-end metric of this checkout's BENCHMARK.json, one row:
+each side's median and quartiles (linear interpolation, as numpy's default
+percentile), the change's median against the parent's, the pairs the change won (strictly better in its ``better``
 direction), and the claim verdict. A claim holds when there are at least
 10 pairs, the change won at least 9 of every 10, and the medians differ in
 the better direction by more than the parent's interquartile range.
@@ -66,8 +65,10 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
 
 
 def value(result: dict, name: str) -> float:
-    """Metric ``name`` of one run's result, NaN where the run has none."""
-    return float(result.get("metrics", {}).get(name, {}).get("value", math.nan))
+    """Metric ``name`` of one run's result, NaN where the run has none or
+    run.py wrote it as null (a metric it could not measure)."""
+    v = result.get("metrics", {}).get(name, {}).get("value")
+    return math.nan if v is None else float(v)
 
 
 def run_once(checkout: Path, args) -> dict:
@@ -117,9 +118,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--log", type=Path, help="append each run's result to this JSON-lines file")
-    parser.add_argument("--benchmark", type=Path, default=ROOT / "BENCHMARK.json")
     args = parser.parse_args(argv)
-    benchmark = json.loads(args.benchmark.read_text(encoding="utf-8"))
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
